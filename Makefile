@@ -6,7 +6,7 @@
 # crashing binary would leave the pipeline (and the diff) green.
 SHELL := /bin/bash
 
-.PHONY: all build test verify doc-gate determinism serve-determinism \
+.PHONY: all build test verify doc-gate determinism golden serve-determinism \
         shard-determinism store-determinism recovery-determinism fuzz-smoke \
         chaos-soak alloc-gate bench-smoke bench-json bench-compare msrv-check \
         lint fmt clean
@@ -67,7 +67,7 @@ chaos-soak:
 
 # --- CI job: determinism ----------------------------------------------------
 
-determinism: serve-determinism shard-determinism store-determinism \
+determinism: golden serve-determinism shard-determinism store-determinism \
              recovery-determinism
 	cargo test --release -p tamopt_partition --test determinism
 	cargo test --release -p tamopt_rail --test determinism
@@ -89,6 +89,28 @@ determinism: serve-determinism shard-determinism store-determinism \
 	    | grep -v wall_clock > /tmp/$${manifest}_t4.json; \
 	  diff /tmp/$${manifest}_t1.json /tmp/$${manifest}_t4.json || exit 1; \
 	done
+
+# Cross-commit answer gate: the files under examples/golden/ hold the
+# outputs of an earlier commit, so any change of winners, rankings,
+# frontier points or PruneStats between commits shows up as a diff.
+# The CLI at W = 64, B <= 10 over the four ITC'02 SOCs (minus the
+# wall-clock line) and the daemon over the three example traces (minus
+# wall_clock* lines). Regenerate the files only in a change that means
+# to alter answers, and say so in its description.
+golden:
+	cargo build --release -p tamopt
+	set -o pipefail; \
+	for soc in d695 p21241 p31108 p93791; do \
+	  ./target/release/tamopt --soc $$soc --width 64 --max-tams 10 --threads 1 \
+	    | grep -v 'wall clock' | diff examples/golden/tamopt_$${soc}_w64_b10.txt - \
+	    || exit 1; \
+	done; \
+	for trace in serve kinds; do \
+	  ./target/release/tamopt serve --threads 1 < examples/$${trace}.trace \
+	    | grep -v wall_clock | diff examples/golden/serve_$${trace}.txt - || exit 1; \
+	done; \
+	./target/release/tamopt serve --shards 4 --threads 1 < examples/shard.trace \
+	  | grep -v wall_clock | diff examples/golden/serve_shard.txt -
 
 # Live-daemon gate: the trace-replay suite plus a byte-level diff of the
 # `tamopt serve` stream (outcome lines + final report, minus wall_clock*

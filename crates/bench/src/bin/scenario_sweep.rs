@@ -12,7 +12,7 @@
 
 use tamopt::analysis::UtilizationReport;
 use tamopt::soc::scenarios;
-use tamopt::wrapper::TimeTable;
+use tamopt::wrapper::{pareto, TimeTable};
 use tamopt::{CoOptimizer, Soc};
 use tamopt_bench::print_table;
 
@@ -36,10 +36,7 @@ fn main() {
             // Architecture-independent lower bound: the slowest core at
             // full width.
             let table = TimeTable::new(&soc, width).expect("positive width");
-            let bottleneck: u64 = (0..soc.num_cores())
-                .map(|c| table.min_time(c))
-                .max()
-                .unwrap_or(0);
+            let bottleneck = pareto::bottleneck_from_table(&table);
             rows.push(vec![
                 width.to_string(),
                 architecture.num_tams().to_string(),

@@ -15,13 +15,11 @@
 
 use tamopt_wrapper::TimeTable;
 
-/// The bottleneck bound: `max_c T_c(max_width)` where `max_width` is
-/// the table's full width (pass a table built at the SOC total width).
+/// The bottleneck bound: `max_c min_w T_c(w)` over the table's full
+/// width range (pass a table built at the SOC total width) — the last
+/// entry of [`TimeTable::bottleneck_floor`].
 pub fn bottleneck_bound(table: &TimeTable) -> u64 {
-    (0..table.num_cores())
-        .map(|c| table.min_time(c))
-        .max()
-        .unwrap_or(0)
+    table.bottleneck_floor()[table.max_width() as usize]
 }
 
 /// The bandwidth bound: `⌈Σ_c min_w w·T_c(w) / W⌉` with `W` the table's
@@ -84,6 +82,17 @@ mod tests {
                 best.result.soc_time()
             );
         }
+    }
+
+    #[test]
+    fn bounds_hold_for_non_monotone_tables() {
+        // A core that tests faster on a narrower TAM: partition {1, 1}
+        // reaches 5 cycles, so the bound must not read the last column
+        // (10).
+        let table = TimeTable::from_matrix(vec![vec![5, 10]]);
+        let best = exhaustive::solve(&table, 2, &ExhaustiveConfig::up_to_tams(2)).unwrap();
+        assert_eq!(best.result.soc_time(), 5);
+        assert!(lower_bound(&table) <= best.result.soc_time());
     }
 
     #[test]

@@ -8,6 +8,17 @@
 //! solution to *P_PAW* / *P_NPAW*; the final exact optimization step
 //! lives in [`crate::pipeline`].
 //!
+//! Before a partition's cost matrix is even built, the scan checks it
+//! against the table's bottleneck floor
+//! ([`TimeTable::bottleneck_floor`], `floor[w] = max_c min_{x≤w}
+//! T_c(x)`): when `floor[widest part] ≥ τ`, the partition is counted as
+//! aborted and skipped. The skip is exact. A completed `Core_assign`
+//! puts every core on a TAM no wider than the widest part, so some TAM
+//! ends loaded with at least `floor[widest]`, and the run would abort at
+//! that assignment at the latest. Winners, rankings and [`PruneStats`]
+//! are therefore identical with and without the skip; only the work
+//! spent on doomed partitions disappears.
+//!
 //! The enumeration runs on the deterministic chunked executor of
 //! [`tamopt_engine`]: partitions are split into index-ordered chunks,
 //! chunks of one generation are scored concurrently against a shared
@@ -45,7 +56,10 @@ pub struct PruneStats {
     pub enumerated: u64,
     /// Partitions whose evaluation ran to completion.
     pub completed: u64,
-    /// Partitions whose evaluation was aborted by the `τ` bound.
+    /// Partitions whose evaluation was aborted by the `τ` bound. This
+    /// includes the partitions the scan skips before building their
+    /// cost matrix because the bottleneck floor of their widest part
+    /// already reaches `τ` (`Core_assign` would abort on them).
     pub aborted: u64,
 }
 
@@ -492,8 +506,10 @@ pub fn partition_evaluate_top_k(
     let mut global: Ranking<Candidate> = Ranking::new(k);
 
     // Width canonicalization for the per-worker matrix memo (see
-    // `ScanScratch`): computed once, shared read-only by all workers.
+    // `ScanScratch`) and the bottleneck floor of the skip below:
+    // computed once, shared read-only by all workers.
     let effective = table.effective_widths();
+    let floor = table.bottleneck_floor();
 
     let items = (config.min_tams..=config.max_tams).flat_map(|b| Partitions::new(total_width, b));
     let status = search_chunks_with(
@@ -512,8 +528,6 @@ pub fn partition_evaluate_top_k(
             let mut out_stats = PruneStats::default();
             for (offset, widths) in chunk.into_iter().enumerate() {
                 out_stats.enumerated += 1;
-                let tams = TamSet::new(widths).expect("partition parts are positive");
-                scratch.rebuild_matrix(table, &tams, &effective)?;
                 // A candidate worse than the chunk's own k-th best can
                 // never enter the global top-k either, so the local
                 // heap's worst (once full) is a sound extra bound.
@@ -526,6 +540,18 @@ pub fn partition_evaluate_top_k(
                 } else {
                     None
                 };
+                // Bottleneck-floor skip (exact, see the module doc):
+                // `Core_assign` would abort against `bound`. Sound only
+                // with at least one core (with none it completes at 0),
+                // which holds: `SocBuilder` rejects an empty SOC and
+                // `TimeTable::from_matrix` asserts a row.
+                let widest = *widths.last().expect("partitions are non-empty");
+                if bound.is_some_and(|tau| floor[widest as usize] >= tau) {
+                    out_stats.aborted += 1;
+                    continue;
+                }
+                let tams = TamSet::new(widths).expect("partition parts are positive");
+                scratch.rebuild_matrix(table, &tams, &effective)?;
                 match core_assign_into(&scratch.matrix, bound, &config.options, &mut scratch.assign)
                 {
                     Some(time) => {

@@ -3,12 +3,13 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
+use tamopt_assign::{core_assign_into, AssignScratch, CoreAssignOptions, CostMatrix, TamSet};
 use tamopt_partition::count;
 use tamopt_partition::enumerate::{Compositions, Partitions};
 use tamopt_partition::pipeline::{
     co_optimize, co_optimize_frontier, co_optimize_top_k, FinalStep, PipelineConfig,
 };
-use tamopt_partition::{partition_evaluate, EvaluateConfig};
+use tamopt_partition::{partition_evaluate, partition_evaluate_top_k, EvaluateConfig};
 use tamopt_wrapper::TimeTable;
 
 /// A small random cost table shaped like `T_i(w)`: non-increasing rows.
@@ -25,8 +26,78 @@ fn arb_table() -> impl Strategy<Value = TimeTable> {
     })
 }
 
+/// A small random cost table whose rows are *not* sorted: a core may
+/// test faster on a narrower TAM, as tables given verbatim through
+/// [`TimeTable::from_matrix`] can.
+fn arb_unsorted_table() -> impl Strategy<Value = TimeTable> {
+    (2usize..7, 4u32..12).prop_flat_map(|(cores, width)| {
+        proptest::collection::vec(proptest::collection::vec(1u64..500, width as usize), cores)
+            .prop_map(TimeTable::from_matrix)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The scan's bottleneck-floor skip is exact: whenever the floor of
+    /// a partition's widest part reaches `τ`, `Core_assign` under that
+    /// `τ` aborts, on tables with unsorted rows too and under either
+    /// tie-break setting.
+    #[test]
+    fn bottleneck_floor_skip_only_drops_aborting_partitions(
+        table in arb_unsorted_table(),
+        parts in 1u32..5,
+        pick in 0usize..1000,
+        tau in 1u64..1500,
+        widest_tam_tie_break in any::<bool>(),
+        next_tam_tie_break in any::<bool>(),
+    ) {
+        let width = table.max_width();
+        let partitions: Vec<Vec<u32>> = Partitions::new(width, parts).collect();
+        prop_assume!(!partitions.is_empty());
+        let widths = partitions[pick % partitions.len()].clone();
+        let widest = *widths.last().expect("partitions are non-empty");
+        let floor = table.bottleneck_floor();
+        let tams = TamSet::new(widths).expect("parts are positive");
+        let matrix = CostMatrix::from_table(&table, &tams).expect("widths fit the table");
+        let mut scratch = AssignScratch::new();
+        let options = CoreAssignOptions { widest_tam_tie_break, next_tam_tie_break };
+        // The floor bounds every completed assignment from below, so a
+        // bound just above the unbounded time is never skipped…
+        let unbounded =
+            core_assign_into(&matrix, None, &options, &mut scratch).expect("no bound, no abort");
+        prop_assert!(unbounded >= floor[widest as usize], "floor above {}", unbounded);
+        // …and at any τ the floor reaches, Core_assign aborts.
+        let outcome = core_assign_into(&matrix, Some(tau), &options, &mut scratch);
+        if floor[widest as usize] >= tau {
+            prop_assert_eq!(outcome, None, "floor {} >= tau {}", floor[widest as usize], tau);
+        }
+    }
+
+    /// `pruning_never_changes_the_answer` on unsorted tables, through
+    /// the ranked scan at k = 1 and k = 3: the τ-abort and the
+    /// bottleneck-floor skip keep every ranked entry.
+    #[test]
+    fn pruning_never_changes_the_answer_on_unsorted_tables(
+        table in arb_unsorted_table(),
+        max_tams in 1u32..5,
+        k_ix in 0usize..2,
+    ) {
+        let width = table.max_width();
+        let k = [1usize, 3][k_ix];
+        let config = EvaluateConfig::up_to_tams(max_tams);
+        let pruned = partition_evaluate_top_k(&table, width, &config, k).expect("valid width");
+        let full = partition_evaluate_top_k(
+            &table,
+            width,
+            &EvaluateConfig { prune: false, ..config },
+            k,
+        )
+        .expect("valid width");
+        prop_assert_eq!(&pruned.entries, &full.entries);
+        prop_assert!(pruned.stats.completed <= full.stats.completed);
+        prop_assert_eq!(pruned.stats.enumerated, full.stats.enumerated);
+    }
 
     /// The iterator yields exactly p(W, B) partitions, all canonical
     /// (non-decreasing), all summing to W, all distinct.

@@ -141,25 +141,24 @@ pub fn idle_wires(core: &Core, width: u32) -> Result<u32, WrapperError> {
 /// Restates [`bottleneck_lower_bound`] on a precomputed [`TimeTable`]
 /// whose `max_width` is the SOC total width.
 pub fn bottleneck_from_table(table: &TimeTable) -> u64 {
-    (0..table.num_cores())
-        .map(|c| table.min_time(c))
-        .max()
-        .unwrap_or(0)
+    bottleneck_at_width(table, table.max_width())
 }
 
 /// [`bottleneck_lower_bound`] at an *intermediate* width of a precomputed
 /// [`TimeTable`] — the per-width bound column of a frontier sweep, read
-/// without re-designing any wrapper.
+/// without re-designing any wrapper. Reads
+/// [`TimeTable::bottleneck_floor`].
 ///
 /// # Panics
 ///
 /// Panics if `width` is `0` or greater than the table's
 /// [`max_width`](TimeTable::max_width).
 pub fn bottleneck_at_width(table: &TimeTable, width: u32) -> u64 {
-    (0..table.num_cores())
-        .map(|c| table.time(c, width))
-        .max()
-        .unwrap_or(0)
+    assert!(
+        width >= 1 && width <= table.max_width(),
+        "width {width} out of range"
+    );
+    table.bottleneck_floor()[width as usize]
 }
 
 #[cfg(test)]

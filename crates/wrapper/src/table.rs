@@ -85,9 +85,11 @@ impl TimeTable {
     }
 
     /// Minimum achievable testing time for a core within the table's
-    /// width range (its saturation time).
+    /// width range (its saturation time). The true row minimum, so it
+    /// holds for [`from_matrix`](TimeTable::from_matrix) rows that are
+    /// not non-increasing too.
     pub fn min_time(&self, core: usize) -> u64 {
-        *self.times[core].last().expect("max_width >= 1")
+        *self.times[core].iter().min().expect("max_width >= 1")
     }
 
     /// The **effective width** of every width `1..=max_width`: entry `w`
@@ -118,6 +120,34 @@ impl TimeTable {
             };
         }
         effective
+    }
+
+    /// The **bottleneck floor** of every width `1..=max_width`: entry `w`
+    /// is `max_c min_{x ≤ w} T_c(x)`, the fastest the slowest core can
+    /// be tested on any TAM no wider than `w` (entry 0 is unused and
+    /// holds 0).
+    ///
+    /// No architecture whose widest TAM is `w` can test the SOC in less
+    /// than `floor[w]` cycles: every core sits on some TAM, and that
+    /// TAM's load is at least the core's own time there. The inner
+    /// running minimum keeps this sound for tables whose rows are not
+    /// non-increasing ([`from_matrix`](TimeTable::from_matrix)); for
+    /// [`new`](TimeTable::new) tables it is simply `max_c T_c(w)`.
+    ///
+    /// This is the one bottleneck-bound mechanism of the workspace: the
+    /// architecture-independent bounds and the frontier's per-width
+    /// bound read it, and the partition scan uses it to skip partitions
+    /// whose widest part cannot beat the current `τ`.
+    pub fn bottleneck_floor(&self) -> Vec<u64> {
+        let mut floor = vec![0u64; (self.max_width + 1) as usize];
+        for row in &self.times {
+            let mut fastest = u64::MAX;
+            for (slot, &t) in floor[1..].iter_mut().zip(row) {
+                fastest = fastest.min(t);
+                *slot = (*slot).max(fastest);
+            }
+        }
+        floor
     }
 
     /// Builds a table directly from an externally supplied cost matrix
@@ -206,6 +236,29 @@ mod tests {
         assert!(eff[1..].windows(2).all(|p| p[0] <= p[1]));
         // d695 saturates well before 64 wires: the tail must collapse.
         assert!(eff[64] < 64, "no collapse at all would be surprising");
+    }
+
+    #[test]
+    fn bottleneck_floor_is_the_slowest_core_at_each_width() {
+        let soc = benchmarks::d695();
+        let t = TimeTable::new(&soc, 32).unwrap();
+        let floor = t.bottleneck_floor();
+        assert_eq!(floor.len(), 33);
+        assert_eq!(floor[0], 0);
+        for w in 1..=32u32 {
+            let slowest = (0..t.num_cores()).map(|c| t.time(c, w)).max().unwrap();
+            assert_eq!(floor[w as usize], slowest, "width {w}");
+        }
+    }
+
+    #[test]
+    fn bottleneck_floor_takes_the_running_row_minimum() {
+        // Non-monotone rows: the floor never rises with width, and at
+        // width 2 core 0 can still test in 5 cycles on a 1-wire TAM.
+        let t = TimeTable::from_matrix(vec![vec![5, 10, 3], vec![4, 6, 6]]);
+        assert_eq!(t.bottleneck_floor(), vec![0, 5, 5, 4]);
+        assert_eq!(t.min_time(0), 3);
+        assert_eq!(TimeTable::from_matrix(vec![vec![5, 10]]).min_time(0), 5);
     }
 
     #[test]
