@@ -94,9 +94,10 @@ determinism: golden serve-determinism shard-determinism store-determinism \
 # outputs of an earlier commit, so any change of winners, rankings,
 # frontier points or PruneStats between commits shows up as a diff.
 # The CLI at W = 64, B <= 10 over the four ITC'02 SOCs (minus the
-# wall-clock line) and the daemon over the three example traces (minus
-# wall_clock* lines). Regenerate the files only in a change that means
-# to alter answers, and say so in its description.
+# wall-clock line), the batch CLI over both example manifests and the
+# daemon over the three example traces plus serve.trace on one stamped
+# shard (minus wall_clock* lines). Regenerate the files only in a
+# change that means to alter answers, and say so in its description.
 golden:
 	cargo build --release -p tamopt
 	set -o pipefail; \
@@ -105,10 +106,16 @@ golden:
 	    | grep -v 'wall clock' | diff examples/golden/tamopt_$${soc}_w64_b10.txt - \
 	    || exit 1; \
 	done; \
+	for manifest in batch kinds; do \
+	  ./target/release/tamopt batch examples/$${manifest}.manifest --threads 1 \
+	    | grep -v wall_clock | diff examples/golden/batch_$${manifest}.txt - || exit 1; \
+	done; \
 	for trace in serve kinds; do \
 	  ./target/release/tamopt serve --threads 1 < examples/$${trace}.trace \
 	    | grep -v wall_clock | diff examples/golden/serve_$${trace}.txt - || exit 1; \
 	done; \
+	./target/release/tamopt serve --shards 1 --threads 1 < examples/serve.trace \
+	  | grep -v wall_clock | diff examples/golden/serve_serve_shards1.txt - || exit 1; \
 	./target/release/tamopt serve --shards 4 --threads 1 < examples/shard.trace \
 	  | grep -v wall_clock | diff examples/golden/serve_shard.txt -
 

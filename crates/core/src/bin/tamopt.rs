@@ -91,9 +91,9 @@ use tamopt::cost::{BusCost, GateWeights};
 use tamopt::rail::{design_rails, RailConfig, RailCostModel};
 use tamopt::schedule::TestSchedule;
 use tamopt::service::{
-    BatchConfig, JournalBinding, LiveConfig, LiveQueue, NetDirective, NetListener, NetOptions,
-    NetServer, Request, RequestOutcome, RequestStatus, ShardTrace, ShardedQueue, StoreBinding,
-    SubmitError, Trace, WIRE_VERSION,
+    BatchConfig, JournalBinding, LiveConfig, NetDirective, NetListener, NetOptions, NetServer,
+    Request, RequestOutcome, RequestStatus, ShardTrace, ShardedQueue, StoreBinding, SubmitError,
+    WIRE_VERSION,
 };
 use tamopt::soc::format::parse_soc;
 use tamopt::store::{Journal, JournalRecord, Store, StoreConfig, SyncPolicy};
@@ -330,9 +330,9 @@ struct ServeArgs {
     time_limit: Option<Duration>,
     warm_start: bool,
     aging: u32,
-    /// `Some(n)` engages the fingerprint-sharded machinery (even for
-    /// `n = 1`, whose outcomes carry shard stamps); `None` keeps the
-    /// single-queue daemon with its byte-identical legacy output.
+    /// The shard count of the serving queue: `Some(n)` stamps every
+    /// outcome with its shard (even for `n = 1`); `None` runs one
+    /// unstamped shard, the byte-identical unsharded output.
     shards: Option<usize>,
     store: Option<String>,
     /// `--journal <path>`: write-ahead request journal for crash-safe
@@ -463,80 +463,6 @@ fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeArgs,
     })
 }
 
-/// The live daemon behind `tamopt serve`: one flat queue or N
-/// fingerprint-routed shards, behind one surface so the stdin loop is
-/// queue-shape agnostic.
-enum ServeQueue {
-    Flat(LiveQueue),
-    Sharded(ShardedQueue),
-}
-
-impl ServeQueue {
-    fn start(config: LiveConfig, shards: Option<usize>) -> Self {
-        match shards {
-            Some(n) => ServeQueue::Sharded(ShardedQueue::start(config, n)),
-            None => ServeQueue::Flat(LiveQueue::start(config)),
-        }
-    }
-
-    /// Submits a request, returning its **global** id.
-    fn submit(&self, request: Request) -> Result<usize, SubmitError> {
-        match self {
-            ServeQueue::Flat(q) => q.submit(request).map(|(id, _)| id.index()),
-            ServeQueue::Sharded(q) => q.submit(request).map(|(id, _)| id.index()),
-        }
-    }
-
-    /// Submits pinned to `shard` when both the pin and the sharding
-    /// exist — the recovery path re-running a journalled request where
-    /// it was originally accepted; routes normally otherwise.
-    fn submit_pinned(&self, shard: Option<usize>, request: Request) -> Result<usize, SubmitError> {
-        match (self, shard) {
-            (ServeQueue::Sharded(q), Some(shard)) => {
-                q.submit_pinned(shard, request).map(|(id, _)| id.index())
-            }
-            _ => self.submit(request),
-        }
-    }
-
-    /// The shard that accepted global id `id` (`None` when flat) — the
-    /// accept-time stamp the journal records.
-    fn shard_of(&self, id: usize) -> Option<usize> {
-        match self {
-            ServeQueue::Flat(_) => None,
-            ServeQueue::Sharded(q) => q.shard_of(id.into()),
-        }
-    }
-
-    fn cancel(&self, id: usize) -> bool {
-        match self {
-            ServeQueue::Flat(q) => q.cancel(id.into()),
-            ServeQueue::Sharded(q) => q.cancel(id.into()),
-        }
-    }
-
-    fn stats_json(&self) -> String {
-        match self {
-            ServeQueue::Flat(q) => q.stats().to_json(),
-            ServeQueue::Sharded(q) => q.stats().to_json(),
-        }
-    }
-
-    fn recv_outcome(&self) -> Option<tamopt::service::RequestOutcome> {
-        match self {
-            ServeQueue::Flat(q) => q.recv_outcome(),
-            ServeQueue::Sharded(q) => q.recv_outcome(),
-        }
-    }
-
-    fn shutdown(&self) -> Option<tamopt::service::BatchReport> {
-        match self {
-            ServeQueue::Flat(q) => q.shutdown(),
-            ServeQueue::Sharded(q) => q.shutdown(),
-        }
-    }
-}
-
 fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
     let args = match parse_serve_args(argv) {
         Ok(a) => a,
@@ -649,10 +575,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
 
     let report = match first {
         // Empty input: an empty trace still owes a valid (empty) report.
-        None => match args.shards {
-            Some(shards) => ShardedQueue::replay(ShardTrace::new(), config, shards).1,
-            None => LiveQueue::replay(Trace::new(), config).1,
-        },
+        None => ShardedQueue::replay(ShardTrace::new(), config, args.shards).1,
         Some((first_number, _, (Some(first_tag), first_directive))) => {
             // Trace mode: collect the whole input, then replay. A trace
             // is its own deterministic recovery script, so it is not
@@ -701,50 +624,30 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
                     }
                 }
             }
-            let (stream, report) = match args.shards {
-                Some(shards) => {
-                    let mut trace = ShardTrace::new();
-                    for (_, tag, directive) in events {
-                        trace = match directive {
-                            ServeLine::Submit(mut request) => {
-                                clamp_budget(&mut request, args.max_budget);
-                                match tag.shard {
-                                    Some(shard) => {
-                                        trace.submit_pinned_at(tag.generation, shard, request)
-                                    }
-                                    None => trace.submit_at(tag.generation, request),
-                                }
-                            }
-                            // A cancel routes to the owner of the id;
-                            // any shard pin on it is redundant.
-                            ServeLine::Cancel(id) => trace.cancel_at(tag.generation, id),
-                            ServeLine::Stats => unreachable!("rejected during collection"),
-                        };
-                    }
-                    ShardedQueue::replay(trace, config, shards)
+            let mut trace = ShardTrace::new();
+            for (number, tag, directive) in events {
+                if tag.shard.is_some() && args.shards.is_none() {
+                    eprintln!(
+                        "serve: line {}: @<generation>/<shard> tags require --shards",
+                        number + 1
+                    );
+                    return ExitCode::FAILURE;
                 }
-                None => {
-                    let mut trace = Trace::new();
-                    for (number, tag, directive) in events {
-                        if tag.shard.is_some() {
-                            eprintln!(
-                                "serve: line {}: @<generation>/<shard> tags require --shards",
-                                number + 1
-                            );
-                            return ExitCode::FAILURE;
+                trace = match directive {
+                    ServeLine::Submit(mut request) => {
+                        clamp_budget(&mut request, args.max_budget);
+                        match tag.shard {
+                            Some(shard) => trace.submit_pinned_at(tag.generation, shard, request),
+                            None => trace.submit_at(tag.generation, request),
                         }
-                        trace = match directive {
-                            ServeLine::Submit(mut request) => {
-                                clamp_budget(&mut request, args.max_budget);
-                                trace.submit_at(tag.generation, request)
-                            }
-                            ServeLine::Cancel(id) => trace.cancel_at(tag.generation, id),
-                            ServeLine::Stats => unreachable!("rejected during collection"),
-                        };
                     }
-                    LiveQueue::replay(trace, config)
-                }
-            };
+                    // A cancel routes to the owner of the id; any shard
+                    // pin on it is redundant.
+                    ServeLine::Cancel(id) => trace.cancel_at(tag.generation, id),
+                    ServeLine::Stats => unreachable!("rejected during collection"),
+                };
+            }
+            let (stream, report) = ShardedQueue::replay(trace, config, args.shards);
             for outcome in &stream {
                 print!("{}", outcome.to_json_line());
             }
@@ -754,13 +657,15 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
             // Live mode: submit each line as it is read; outcomes stream
             // concurrently. Parse errors are reported and skipped — work
             // already submitted keeps running — but fail the exit code.
-            let queue = ServeQueue::start(config, args.shards);
+            let queue = ShardedQueue::start(config, args.shards);
             let mut parse_errors = 0u32;
             let report = std::thread::scope(|scope| {
                 let printer = scope.spawn(|| {
                     use std::io::Write as _;
-                    let mut out = std::io::stdout().lock();
                     while let Some(outcome) = queue.recv_outcome() {
+                        // Lock per line, never across the blocking recv:
+                        // a `stats` answer prints from the input thread.
+                        let mut out = std::io::stdout().lock();
                         let _ = out.write_all(outcome.to_json_line().as_bytes());
                         let _ = out.flush();
                         // Seal after the line reached the output: a
@@ -776,9 +681,9 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
                         ServeLine::Submit(mut request) => {
                             clamp_budget(&mut request, args.max_budget);
                             match queue.submit(request) {
-                                Ok(id) => {
+                                Ok((id, _)) => {
                                     if let Some(journal) = &journal {
-                                        journal.submit(id, None, queue.shard_of(id), line);
+                                        journal.submit(id.index(), None, queue.shard_of(id), line);
                                     }
                                 }
                                 Err(SubmitError::ShutDown) => {
@@ -798,7 +703,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
                             }
                         }
                         ServeLine::Cancel(id) => {
-                            if queue.cancel(id) {
+                            if queue.cancel(id.into()) {
                                 if let Some(journal) = &journal {
                                     journal.cancel(id);
                                 }
@@ -808,7 +713,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
                             }
                         }
                         ServeLine::Stats => {
-                            println!("{}", queue.stats_json());
+                            println!("{}", queue.stats().to_json());
                         }
                     }
                 };
@@ -946,20 +851,20 @@ fn recover_journal(
         }
     }
     if !live.is_empty() {
-        // Same queue shape (flat or sharded) and the same warm store,
-        // but no backlog cap: everything here was accepted once
-        // already, so recovery must never shed it.
+        // Same shard count and the same warm store, but no backlog cap:
+        // everything here was accepted once already, so recovery must
+        // never shed it.
         let mut recovery_config = config.clone();
         recovery_config.max_pending = 0;
-        let queue = ServeQueue::start(recovery_config, args.shards);
+        let queue = ShardedQueue::start(recovery_config, args.shards);
         let mut owner = std::collections::HashMap::new();
         for (r, request) in &live {
             // Pin to the accept-time shard stamp, so the redo runs
             // where the original did.
-            let id = queue
+            let (id, _) = queue
                 .submit_pinned(r.shard.map(|s| s as usize), request.clone())
                 .map_err(|e| format!("journal: request {}: resubmission failed: {e}", r.id))?;
-            owner.insert(id, *r);
+            owner.insert(id.index(), *r);
         }
         for _ in 0..owner.len() {
             let mut outcome = queue

@@ -285,6 +285,61 @@ fn serve_empty_input_reports_cleanly() {
 }
 
 #[test]
+fn serve_live_stats_and_outcome_shapes_follow_the_shard_mode() {
+    let input = "d695 16 2\nstats\n";
+    // No --shards: the per-queue stats object, no shard stamp anywhere.
+    let out = serve(input, &[]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stats = stdout
+        .lines()
+        .find(|l| l.contains("\"pending\": ["))
+        .expect("a stats line");
+    assert!(stats.starts_with("{\"generation\": "), "stats: {stats}");
+    assert!(
+        stats.contains("\"aging\": 0, \"pending\": ["),
+        "stats: {stats}"
+    );
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("{\"v\": 1, \"id\": 0, \"soc\": \"d695\",")),
+        "{stdout}"
+    );
+    assert!(
+        !stdout.contains("\"shard\""),
+        "unsharded output is unstamped"
+    );
+
+    // --shards 1: the per-shard stats wrapper and shard-stamped lines.
+    let out = serve(input, &["--shards", "1"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stats = stdout
+        .lines()
+        .find(|l| l.contains("\"pending\": ["))
+        .expect("a stats line");
+    assert!(
+        stats.starts_with("{\"shards\": [{\"shard\": 0, \"outstanding\": "),
+        "stats: {stats}"
+    );
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("{\"v\": 1, \"id\": 0, \"shard\": 0, \"soc\": \"d695\",")),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn serve_rejects_mixed_and_malformed_input() {
     // Untagged line in a trace: fatal before any work runs.
     let out = serve("@0 d695 16 2\nd695 24 3\n", &[]);

@@ -1,9 +1,7 @@
-//! The batch queue and its pool-driven executor.
+//! The batch queue — a generation-0 replay on the live dispatcher — and
+//! the per-request executor every queue dispatches to.
 
-use std::cell::RefCell;
-use std::time::Instant;
-
-use tamopt_engine::{search_generations, CancelHandle, ParallelConfig, SearchBudget};
+use tamopt_engine::{CancelHandle, ParallelConfig, SearchBudget};
 use tamopt_partition::pipeline::{
     co_optimize, co_optimize_frontier_seeded, co_optimize_top_k, PipelineConfig,
 };
@@ -11,8 +9,8 @@ use tamopt_partition::CoOptimization;
 use tamopt_store::CostColumns;
 use tamopt_wrapper::{pareto, TimeTable};
 
-use crate::live::{StoreBinding, WarmCache};
-use crate::report::{BatchReport, RequestOutcome, RequestStatus, ResultEntry};
+use crate::live::{LiveConfig, LiveQueue, StoreBinding, Trace};
+use crate::report::{BatchReport, ResultEntry};
 use crate::request::RequestKind;
 use crate::Request;
 
@@ -39,7 +37,8 @@ pub struct BatchConfig {
     /// Optional persistent warm-start store. When set, the batch seeds
     /// every request from the store's incumbents (work-saving only —
     /// winners are unaffected), records what it finds back, and saves
-    /// the store once at the end of the run. `None` (the default) keeps
+    /// the store at the binding's snapshot cadence and at the end of the
+    /// run. `None` (the default) keeps
     /// batches fully cold and side-effect-free.
     pub store: Option<StoreBinding>,
 }
@@ -133,195 +132,42 @@ impl Batch {
     /// Runs every queued request on one shared worker pool and returns
     /// the report, outcomes in submission order.
     ///
-    /// Requests are dispatched in priority order (ties keep submission
-    /// order), one request per executor chunk: with `threads = N`, up to
-    /// `N` requests co-optimize concurrently, and the global budget is
-    /// polled between generations. The pool is split proportionally
-    /// across each generation's dispatches — every request's inner
-    /// partition scan runs `max(1, N / generation_width)` wide, so a
-    /// lone request (always generation 0 under the ramp, and whenever
-    /// the queue runs low) borrows the whole pool and idle workers
-    /// never park while siblings scan single-threaded. The split is
-    /// pure execution policy: results are identical for every value.
-    /// Requests never dispatched because the
-    /// budget ran out are reported as [`RequestStatus::Skipped`].
-    /// Per-request failures (e.g. an infeasible width) are captured as
-    /// [`RequestStatus::Failed`] outcomes — they never abort the batch.
+    /// The batch is a [`LiveQueue::replay`] of a trace that submits
+    /// every queued request at generation 0, so it runs on the live
+    /// dispatcher: requests are dispatched in priority order (ties keep
+    /// submission order), one request per executor chunk, and the
+    /// global budget is polled between generations. The pool is split
+    /// proportionally across each generation's dispatches — every
+    /// request's inner partition scan runs `max(1, N / generation_width)`
+    /// wide — which is pure execution policy: results are identical for
+    /// every thread count. Requests never dispatched because the budget
+    /// ran out are reported as [`RequestStatus::Skipped`]. Per-request
+    /// failures (e.g. an infeasible width) are captured as
+    /// [`RequestStatus::Failed`] outcomes — they never abort the batch. A
+    /// request whose handle was cancelled before the run is still
+    /// dispatched and reports [`RequestStatus::Cancelled`] with its first
+    /// generation's partial result.
+    ///
+    /// [`RequestStatus::Skipped`]: crate::RequestStatus::Skipped
+    /// [`RequestStatus::Failed`]: crate::RequestStatus::Failed
+    /// [`RequestStatus::Cancelled`]: crate::RequestStatus::Cancelled
     pub fn run(&self, config: &BatchConfig) -> BatchReport {
-        let start = Instant::now();
-        // Dispatch order: priority descending; sort_by_key is stable, so
-        // equal priorities keep submission order.
-        let mut order: Vec<usize> = (0..self.entries.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.entries[i].request.priority));
-
-        // The global node budget counts dispatched requests (enforced by
-        // the executor); only the deadline and cancellation flags carry
-        // into each request, whose own node budget counts partitions — a
-        // different unit.
-        let inner_global = config.budget.clone().without_node_budget();
-        let mut slots: Vec<Option<Result<RequestResult, String>>> =
-            (0..self.entries.len()).map(|_| None).collect();
-
-        let parallel = ParallelConfig {
+        let trace = self.entries.iter().fold(Trace::new(), |trace, entry| {
+            trace.submit_at(0, entry.request.clone())
+        });
+        let live = LiveConfig {
+            budget: config.budget.clone(),
             threads: config.threads,
-            chunk_size: 1,
-            chunks_per_generation: config.requests_per_generation.max(1),
+            requests_per_generation: config.requests_per_generation,
+            store: config.store.clone(),
+            // A storeless batch stays the classic cold run; with a store,
+            // the run-local cache is unbounded.
+            warm_start: config.store.is_some(),
+            warm_capacity: 0,
+            aging: 0,
+            max_pending: 0,
         };
-        // Nested parallelism: the pool is split *proportionally* across
-        // a generation's dispatched requests — each inner partition scan
-        // runs on `max(1, pool / generation_width)` threads, so a lone
-        // request borrows the whole pool and two requests on an
-        // 8-thread pool each scan 4-wide. The inner chunk geometry
-        // stays at its default, so the inner thread count is pure
-        // execution policy — results (and `PruneStats`) are
-        // bit-identical for every split.
-        let pool_width = parallel.effective_threads();
-        // Warm starts, only with a store attached: seeds resolve from a
-        // run-local cache preloaded with the store's incumbents (on this
-        // thread, at generation boundaries — deterministic for every
-        // thread count), and everything merged feeds both tiers. A
-        // storeless batch stays bit-for-bit the classic cold run.
-        let store = config.store.as_ref();
-        let fingerprints: Vec<u64> = self
-            .entries
-            .iter()
-            .map(|e| e.request.soc.fingerprint())
-            .collect();
-        let cache = RefCell::new(WarmCache::default());
-        if let Some(binding) = store {
-            let mut warm = cache.borrow_mut();
-            for (fingerprint, entry) in binding.contents() {
-                warm.adopt(fingerprint, entry);
-            }
-        }
-        struct BatchDispatch {
-            index: usize,
-            seed: WarmSeed,
-            want_columns: bool,
-            inner_threads: usize,
-        }
-        let mut cursor = order.iter().copied();
-        search_generations(
-            |_generation, capacity| {
-                let picked: Vec<usize> = cursor.by_ref().take(capacity).collect();
-                let inner_threads = (pool_width / picked.len().max(1)).max(1);
-                let mut warm = cache.borrow_mut();
-                picked
-                    .into_iter()
-                    .map(|index| {
-                        let request = &self.entries[index].request;
-                        let seed = if store.is_some() {
-                            warm.seed(fingerprints[index], request)
-                        } else {
-                            WarmSeed::default()
-                        };
-                        BatchDispatch {
-                            index,
-                            want_columns: store.is_some() && seed.table.is_none(),
-                            seed,
-                            inner_threads,
-                        }
-                    })
-                    .collect::<Vec<BatchDispatch>>()
-            },
-            &parallel,
-            &config.budget,
-            |_base, chunk: Vec<BatchDispatch>| -> Result<_, std::convert::Infallible> {
-                Ok(chunk
-                    .into_iter()
-                    .map(|d| {
-                        let result = run_request(
-                            &self.entries[d.index].request,
-                            &inner_global,
-                            &d.seed,
-                            d.inner_threads,
-                            d.want_columns,
-                        );
-                        (d.index, result)
-                    })
-                    .collect::<Vec<_>>())
-            },
-            |chunk| {
-                for (index, outcome) in chunk {
-                    if let (Some(binding), Ok(res)) = (store, &outcome) {
-                        let fingerprint = fingerprints[index];
-                        let mut warm = cache.borrow_mut();
-                        for entry in &res.entries {
-                            warm.record(
-                                fingerprint,
-                                entry.width,
-                                entry.result.tams.len() as u32,
-                                entry.result.heuristic.soc_time(),
-                            );
-                        }
-                        if let Some(columns) = &res.columns {
-                            warm.record_columns(fingerprint, columns.clone());
-                        }
-                        drop(warm);
-                        binding.record(fingerprint, &res.entries, &res.columns);
-                    }
-                    slots[index] = Some(outcome);
-                }
-                Ok(())
-            },
-        )
-        .expect("request failures are captured per request");
-        if let Some(binding) = store {
-            binding.snapshot();
-        }
-
-        let outcomes: Vec<RequestOutcome> = self
-            .entries
-            .iter()
-            .zip(slots)
-            .enumerate()
-            .map(|(index, (entry, slot))| {
-                let (status, result, results, error) = match slot {
-                    Some(Ok(res)) => {
-                        let status = if res.complete {
-                            RequestStatus::Complete
-                        } else if entry.handle.is_cancelled() {
-                            RequestStatus::Cancelled
-                        } else {
-                            RequestStatus::Partial
-                        };
-                        let headline = res.headline().clone();
-                        // A point outcome keeps the legacy single-result
-                        // shape; only the typed kinds carry a payload.
-                        let results = if entry.request.kind == RequestKind::Point {
-                            Vec::new()
-                        } else {
-                            res.entries
-                        };
-                        (status, Some(headline), results, None)
-                    }
-                    Some(Err(message)) => (RequestStatus::Failed, None, Vec::new(), Some(message)),
-                    None => (RequestStatus::Skipped, None, Vec::new(), None),
-                };
-                let request = &entry.request;
-                RequestOutcome {
-                    index,
-                    client: None,
-                    shard: None,
-                    soc: request.soc.name().to_owned(),
-                    width: request.width,
-                    min_tams: request.min_tams,
-                    max_tams: request.max_tams,
-                    priority: request.priority,
-                    kind: request.kind,
-                    status,
-                    result,
-                    results,
-                    error,
-                }
-            })
-            .collect();
-        let complete = outcomes.iter().all(|o| o.status != RequestStatus::Skipped);
-        BatchReport {
-            outcomes,
-            complete,
-            wall_time: start.elapsed(),
-        }
+        LiveQueue::replay(trace, live).1
     }
 }
 
@@ -501,6 +347,7 @@ pub fn run_batch(requests: impl IntoIterator<Item = Request>, config: &BatchConf
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RequestStatus;
     use tamopt_soc::benchmarks;
 
     #[test]

@@ -17,26 +17,29 @@
 //!   [`CancelHandle`](tamopt_engine::CancelHandle) per request at
 //!   submission, so callers can cancel individual jobs while the batch
 //!   runs;
-//! * [`Batch::run`] executes the queue on a single shared worker pool
-//!   (the engine's chunked executor with one request per chunk):
-//!   requests are dispatched in priority order, every request runs under
-//!   the intersection of the **global** budget and its **own** budget,
-//!   and the [`BatchReport`] lists outcomes in **submission order**,
-//!   independent of completion order or thread count;
+//! * [`Batch::run`] executes the queue as a generation-0 replay on the
+//!   live dispatcher ([`LiveQueue::replay`] of a trace submitting every
+//!   request at generation 0): requests are dispatched in priority
+//!   order, every request runs under the intersection of the **global**
+//!   budget and its **own** budget, and the [`BatchReport`] lists
+//!   outcomes in **submission order**, independent of completion order
+//!   or thread count;
 //! * the report serializes to deterministic JSON
 //!   ([`BatchReport::to_json`]) with every wall-clock quantity on its
 //!   own `wall_clock*` line, so byte-level diffs across thread counts
 //!   need only filter those lines;
-//! * a [`LiveQueue`] (module [`live`]) upgrades the batch into a
-//!   long-running daemon: non-blocking [`LiveQueue::submit`] while
-//!   requests execute, re-prioritization at every generation barrier,
-//!   streamed outcomes, deterministic [`Trace`] replay and a warm-start
-//!   incumbent cache across requests on the same SOC;
+//! * a [`LiveQueue`] (module [`live`]) is the crate's one dispatcher,
+//!   a long-running daemon over the engine's generation loop:
+//!   non-blocking [`LiveQueue::submit`] while requests execute,
+//!   re-prioritization at every generation barrier, streamed outcomes,
+//!   deterministic [`Trace`] replay and a warm-start incumbent cache
+//!   across requests on the same SOC;
 //! * a [`ShardedQueue`] (module [`shard`]) scales the daemon out to `N`
 //!   independent queue shards routed by SOC fingerprint hash with
 //!   deterministic work stealing, one warm cache shared by all shards,
 //!   shard-stamped outcomes and a sharded [`ShardTrace`] replay
-//!   preserving the bit-identity contract;
+//!   preserving the bit-identity contract. Unsharded serving (shard
+//!   count `None`) is its single shard with outcomes left unstamped;
 //! * a [`StoreBinding`] attaches a persistent, versioned, crash-safe
 //!   [`tamopt_store`] warm-start store behind the in-memory cache: the
 //!   queue preloads from it at start, feeds it at every merge and
@@ -48,9 +51,10 @@
 //!
 //! # Determinism
 //!
-//! The batch schedule (dispatch order, generation geometry) is fixed by
-//! the request list and [`BatchConfig::requests_per_generation`] — never
-//! by [`BatchConfig::threads`]. Each request's inner partition scan runs
+//! The batch schedule (dispatch order, generation geometry) is the live
+//! dispatcher's, fixed by the request list and
+//! [`BatchConfig::requests_per_generation`] — never by
+//! [`BatchConfig::threads`]. Each request's inner partition scan runs
 //! on its proportional share of the pool
 //! (`max(1, threads / generation_width)`) with the default chunk
 //! geometry; the inner thread count is pure execution policy, so a

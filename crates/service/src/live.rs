@@ -1,17 +1,19 @@
 //! The live serving daemon: a non-blocking request queue over one
 //! long-lived worker pool, with between-generation re-prioritization.
 //!
-//! [`crate::Batch`] is build-then-run: a request arriving mid-run waits
-//! for the whole batch. A [`LiveQueue`] removes that limitation — it
-//! owns the engine's worker pool for its lifetime and accepts
-//! [`submit`](LiveQueue::submit) calls *while requests execute*. The
-//! dispatcher re-reads the priority queue at every generation barrier of
-//! the engine ([`tamopt_engine::search_generations`]), so a
-//! high-priority request submitted mid-run preempts queued (not yet
-//! dispatched) lower-priority work — bounded by the optional
-//! [`LiveConfig::aging`] term, which deterministically raises the
-//! effective priority of waiting work so a stream of high-priority
-//! submissions cannot starve the backlog. Completed outcomes stream out via
+//! A [`LiveQueue`] is the crate's one dispatcher. It owns the engine's
+//! worker pool for its lifetime and accepts [`submit`](LiveQueue::submit)
+//! calls *while requests execute*. A [`crate::Batch`] runs as this
+//! dispatcher replaying a trace that submits every queued request at
+//! generation 0; a [`crate::ShardedQueue`] runs one dispatcher per shard
+//! (unsharded serving is its single, unstamped shard). The dispatcher
+//! re-reads the priority queue at every generation barrier of the engine
+//! ([`tamopt_engine::search_generations`]), so a high-priority request
+//! submitted mid-run preempts queued (not yet dispatched) lower-priority
+//! work — bounded by the optional [`LiveConfig::aging`] term, which
+//! deterministically raises the effective priority of waiting work so a
+//! stream of high-priority submissions cannot starve the backlog.
+//! Completed outcomes stream out via
 //! [`recv_outcome`](LiveQueue::recv_outcome) as they merge instead of
 //! one terminal report; [`shutdown`](LiveQueue::shutdown) drains the
 //! queue and returns the final [`BatchReport`].
@@ -64,10 +66,10 @@ use crate::Request;
 /// Configuration of a [`LiveQueue`].
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Global budget for the queue's whole lifetime. As in
-    /// [`crate::BatchConfig`], the deadline and cancellation flags are
-    /// intersected into every request and a node budget caps the number
-    /// of requests *dispatched*.
+    /// Global budget for the queue's whole lifetime. The deadline and
+    /// cancellation flags are intersected into every request; a node
+    /// budget caps the number of requests *dispatched* (it does not leak
+    /// into the requests' own partition counters).
     pub budget: SearchBudget,
     /// Worker threads of the pool (`0` = one per available CPU, `1` =
     /// inline on the dispatcher). Pure execution policy: replayed traces
@@ -438,7 +440,6 @@ struct Pending {
 struct Dispatch {
     id: usize,
     request: Request,
-    handle: CancelHandle,
     fingerprint: u64,
     seed: WarmSeed,
     /// Whether the worker should return compressed cost columns for the
@@ -1092,9 +1093,9 @@ fn dispatch(
         chunk_size: 1,
         chunks_per_generation: config.requests_per_generation.max(1),
     };
-    // As in `Batch::run`: the global node budget counts dispatched
-    // requests (polled by the executor); only deadline + cancellation
-    // carry into the requests themselves.
+    // The global node budget counts dispatched requests (polled by the
+    // executor); only deadline + cancellation carry into the requests
+    // themselves, whose own node budgets count partitions.
     let inner_global = config.budget.clone().without_node_budget();
     // Preload the in-memory cache from the persistent store (idempotent
     // under the cache's min/widest merge rules, so shards sharing one
@@ -1261,7 +1262,6 @@ fn dispatch(
                 Dispatch {
                     id: p.id,
                     request: p.request,
-                    handle: p.handle,
                     fingerprint: p.fingerprint,
                     want_columns: config.warm_start && seed.table.is_none(),
                     seed,
@@ -1321,16 +1321,20 @@ fn dispatch(
                             // locks, never held together.
                             binding.record(dispatch.fingerprint, &res.entries, &res.columns);
                         }
+                        // The request's own budget carries every
+                        // cancellation flag: the queue's handle and any
+                        // the caller attached before submitting (a
+                        // `Batch::push` handle tripped before the run).
                         let status = if res.complete {
                             RequestStatus::Complete
-                        } else if dispatch.handle.is_cancelled() {
+                        } else if dispatch.request.budget.cancelled() {
                             RequestStatus::Cancelled
                         } else {
                             RequestStatus::Partial
                         };
                         let headline = res.headline().clone();
-                        // As in `Batch::run`: point outcomes keep the
-                        // legacy single-result shape.
+                        // Point outcomes keep the legacy single-result
+                        // shape; only the typed kinds carry a payload.
                         let results = if dispatch.request.kind == RequestKind::Point {
                             Vec::new()
                         } else {
@@ -1397,14 +1401,7 @@ fn dispatch(
         binding.snapshot();
     }
 
-    let mut outcomes = book.outcomes;
-    outcomes.sort_by_key(|o| o.index);
-    let complete = outcomes.iter().all(|o| o.status != RequestStatus::Skipped);
-    BatchReport {
-        outcomes,
-        complete,
-        wall_time: start.elapsed(),
-    }
+    BatchReport::from_outcomes(book.outcomes, start.elapsed())
 }
 
 #[cfg(test)]

@@ -210,7 +210,8 @@ impl RequestOutcome {
     }
 }
 
-/// Everything [`crate::Batch::run`] produced, outcomes in submission
+/// Everything a batch or queue session produced ([`crate::Batch::run`],
+/// [`crate::LiveQueue::shutdown`], a replay), outcomes in submission
 /// order regardless of priorities, completion order or thread count.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
@@ -225,6 +226,19 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
+    /// The report over `outcomes` (one per submission, any order):
+    /// sorted by submission index, and `complete` unless some outcome
+    /// was [`RequestStatus::Skipped`].
+    pub(crate) fn from_outcomes(mut outcomes: Vec<RequestOutcome>, wall_time: Duration) -> Self {
+        outcomes.sort_by_key(|o| o.index);
+        let complete = outcomes.iter().all(|o| o.status != RequestStatus::Skipped);
+        BatchReport {
+            outcomes,
+            complete,
+            wall_time,
+        }
+    }
+
     /// Number of outcomes with the given status.
     pub fn count(&self, status: RequestStatus) -> usize {
         self.outcomes.iter().filter(|o| o.status == status).count()

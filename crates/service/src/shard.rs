@@ -39,6 +39,14 @@
 //! global and every outcome stamped with its shard. Live operation uses
 //! the same routing on live backlog counters (decremented as outcomes
 //! stream), with the shards genuinely concurrent.
+//!
+//! # Unsharded serving
+//!
+//! The shard count is an `Option<usize>`: `Some(n)` runs `n` shards and
+//! stamps every outcome with its shard (even `Some(1)`), while `None`
+//! runs the unsharded daemon — a single shard whose outcomes, journal
+//! stamps and `stats` snapshot carry no shard at all, byte-identical to
+//! a lone [`LiveQueue`].
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -196,11 +204,24 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Re-stamps a shard-local outcome as a global one.
-fn globalize(mut outcome: RequestOutcome, shard: usize, global_of: &[usize]) -> RequestOutcome {
+/// Re-stamps a shard-local outcome as a global one (shard-stamped only
+/// when the queue is `stamped`).
+fn globalize(
+    mut outcome: RequestOutcome,
+    shard: usize,
+    global_of: &[usize],
+    stamped: bool,
+) -> RequestOutcome {
     outcome.index = global_of[outcome.index];
-    outcome.shard = Some(shard);
+    outcome.shard = stamped.then_some(shard);
     outcome
+}
+
+/// The shard count and stamping mode of an `Option<usize>` shard
+/// argument: `Some(n)` is `n.max(1)` stamped shards, `None` one
+/// unstamped shard.
+fn layout(shards: Option<usize>) -> (usize, bool) {
+    shards.map_or((1, false), |n| (n.max(1), true))
 }
 
 /// The backlog snapshot of one shard, as reported by
@@ -223,14 +244,21 @@ pub struct ShardStats {
 pub struct ShardedStats {
     /// One entry per shard, in shard-id order.
     pub shards: Vec<ShardStats>,
+    /// Whether the queue stamps shards (`false` for the unsharded
+    /// single shard).
+    stamped: bool,
 }
 
 impl ShardedStats {
     /// The snapshot as one deterministic, compact JSON object: per
     /// shard its id, outstanding count, pending count and the shard
-    /// queue's own stats object (see [`QueueStats::to_json`]).
+    /// queue's own stats object (see [`QueueStats::to_json`]). An
+    /// unsharded queue renders its single queue's object alone.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
+        if !self.stamped {
+            return self.shards[0].queue.to_json();
+        }
         let mut out = String::from("{\"shards\": [");
         for (i, s) in self.shards.iter().enumerate() {
             if i > 0 {
@@ -253,7 +281,8 @@ impl ShardedStats {
 /// `N` independent [`LiveQueue`] shards behind one queue-shaped facade:
 /// fingerprint-hash routing with deterministic work stealing, one warm
 /// cache shared by every shard, global submission ids and shard-stamped
-/// outcomes. See the [module docs](self) for the routing and
+/// outcomes — or, with no shard count, the unsharded daemon as one
+/// unstamped shard. See the [module docs](self) for the routing and
 /// determinism story.
 ///
 /// # Example
@@ -271,12 +300,22 @@ impl ShardedStats {
 /// assert!(outcome.shard.is_some());
 /// let report = queue.shutdown().expect("first shutdown returns the report");
 /// assert!(report.complete);
+///
+/// // No shard count: the unsharded daemon, outcomes unstamped.
+/// let queue = ShardedQueue::start(LiveConfig::default(), None);
+/// queue
+///     .submit(Request::new(benchmarks::d695(), 16).unwrap().max_tams(2))
+///     .unwrap();
+/// assert_eq!(queue.recv_outcome().unwrap().shard, None);
 /// ```
 #[derive(Debug)]
 pub struct ShardedQueue {
     shards: Arc<Vec<LiveQueue>>,
     route: Arc<Mutex<RouteTable>>,
     start: Instant,
+    /// Whether outcomes, journal stamps and stats carry the shard
+    /// (`false` only for the unsharded single shard).
+    stamped: bool,
     /// Merged outcome stream, fed by one forwarder thread per shard.
     outcomes: Mutex<Receiver<RequestOutcome>>,
     forwarders: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -286,9 +325,10 @@ impl ShardedQueue {
     /// Starts `shards.max(1)` live shards, each a full [`LiveQueue`]
     /// with its own dispatcher and worker pool configured by its own
     /// clone of `config` (so `config.threads` is **per shard**), all
-    /// sharing one warm cache.
-    pub fn start(config: LiveConfig, shards: usize) -> Self {
-        let shards = shards.max(1);
+    /// sharing one warm cache. `None` starts the unsharded daemon: one
+    /// shard whose outcomes carry no shard stamp.
+    pub fn start(config: LiveConfig, shards: impl Into<Option<usize>>) -> Self {
+        let (shards, stamped) = layout(shards.into());
         let cache = WarmCache::shared(config.warm_capacity);
         let queues: Arc<Vec<LiveQueue>> = Arc::new(
             (0..shards)
@@ -306,14 +346,11 @@ impl ShardedQueue {
                     .name(format!("tamopt-shard-{shard}"))
                     .spawn(move || {
                         while let Some(outcome) = queues[shard].recv_outcome() {
-                            let global = {
+                            let outcome = {
                                 let mut table = lock(&route);
                                 table.loads[shard] = table.loads[shard].saturating_sub(1);
-                                table.global_of[shard][outcome.index]
+                                globalize(outcome, shard, &table.global_of[shard], stamped)
                             };
-                            let mut outcome = outcome;
-                            outcome.index = global;
-                            outcome.shard = Some(shard);
                             // Fire-and-forget callers may drop the
                             // receiver; the final report still collects
                             // everything shard-side.
@@ -327,6 +364,7 @@ impl ShardedQueue {
             shards: queues,
             route,
             start: Instant::now(),
+            stamped,
             outcomes: Mutex::new(rx),
             forwarders: Mutex::new(forwarders),
         }
@@ -344,18 +382,34 @@ impl ShardedQueue {
     ///
     /// # Errors
     ///
+    /// As [`submit_pinned`](Self::submit_pinned).
+    pub fn submit(&self, request: Request) -> Result<(RequestId, CancelHandle), SubmitError> {
+        self.submit_pinned(None, request)
+    }
+
+    /// Submits `request` to shard `pin` (wrapped into range) or, with
+    /// no pin, by fingerprint routing as [`submit`](Self::submit) does.
+    /// The recovery path pins a journalled request to the shard that
+    /// originally accepted it.
+    ///
+    /// # Errors
+    ///
     /// [`SubmitError::ShutDown`] after [`shutdown`](Self::shutdown);
     /// [`SubmitError::Overloaded`] when the routed shard's backlog is
     /// at [`LiveConfig::max_pending`] (the cap is per shard) and this
     /// request is its weakest entry. Either way the speculative global
     /// id is unwound — a refused submission consumes nothing.
-    pub fn submit(&self, request: Request) -> Result<(RequestId, CancelHandle), SubmitError> {
+    pub fn submit_pinned(
+        &self,
+        pin: Option<usize>,
+        request: Request,
+    ) -> Result<(RequestId, CancelHandle), SubmitError> {
         // The route lock is held across the shard submit so local ids
         // assigned by the shard queue stay in lock-step with the
         // mapping (the shard's own state lock nests inside it; the
         // forwarders take the route lock alone, so no cycle).
         let mut table = lock(&self.route);
-        let (shard, local) = table.assign(request.soc.fingerprint(), None);
+        let (shard, local) = table.assign(request.soc.fingerprint(), pin);
         match self.shards[shard].submit(request) {
             Ok((id, handle)) => {
                 debug_assert_eq!(id.index(), local);
@@ -372,39 +426,12 @@ impl ShardedQueue {
         }
     }
 
-    /// Submits `request` pinned to `shard` (wrapped into range),
-    /// bypassing fingerprint routing — the recovery path uses this to
-    /// re-run a journalled request on the shard that originally
-    /// accepted it.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](Self::submit).
-    pub fn submit_pinned(
-        &self,
-        shard: usize,
-        request: Request,
-    ) -> Result<(RequestId, CancelHandle), SubmitError> {
-        let mut table = lock(&self.route);
-        let (shard, _local) = table.assign(request.soc.fingerprint(), Some(shard));
-        match self.shards[shard].submit(request) {
-            Ok((_id, handle)) => Ok((RequestId::from(table.owner.len() - 1), handle)),
-            Err(err) => {
-                table.owner.pop();
-                table.global_of[shard].pop();
-                table.loads[shard] -= 1;
-                Err(err)
-            }
-        }
-    }
-
-    /// The shard that accepted global submission `id`, or `None` for
-    /// unknown ids — the accept-time stamp the journal records.
+    /// The shard that accepted global submission `id` — the
+    /// accept-time stamp the journal records. `None` for unknown ids and
+    /// on the unsharded queue, which stamps nothing.
     pub fn shard_of(&self, id: RequestId) -> Option<usize> {
-        lock(&self.route)
-            .owner
-            .get(id.index())
-            .map(|&(shard, _)| shard)
+        let shard = lock(&self.route).owner.get(id.index())?.0;
+        self.stamped.then_some(shard)
     }
 
     /// Cancels global submission `id` on its owning shard; `false` for
@@ -443,7 +470,10 @@ impl ShardedQueue {
                 }
             })
             .collect();
-        ShardedStats { shards }
+        ShardedStats {
+            shards,
+            stamped: self.stamped,
+        }
     }
 
     /// Blocks until the next outcome streams out of any shard (global
@@ -467,7 +497,8 @@ impl ShardedQueue {
 
     /// Shuts every shard down, drains their backlogs and returns the
     /// merged report: outcomes in global submission order, each stamped
-    /// with its shard. `None` if the queue was already shut down.
+    /// with its shard (when stamping). `None` if the queue was already
+    /// shut down.
     pub fn shutdown(&self) -> Option<BatchReport> {
         let reports: Vec<Option<BatchReport>> =
             self.shards.iter().map(LiveQueue::shutdown).collect();
@@ -476,28 +507,21 @@ impl ShardedQueue {
         }
         let table = lock(&self.route);
         let mut outcomes = Vec::with_capacity(table.owner.len());
-        let mut complete = true;
         for (shard, report) in reports.into_iter().enumerate() {
-            let report = report?;
-            complete &= report.complete;
             outcomes.extend(
-                report
+                report?
                     .outcomes
                     .into_iter()
-                    .map(|o| globalize(o, shard, &table.global_of[shard])),
+                    .map(|o| globalize(o, shard, &table.global_of[shard], self.stamped)),
             );
         }
-        outcomes.sort_by_key(|o| o.index);
-        Some(BatchReport {
-            outcomes,
-            complete,
-            wall_time: self.start.elapsed(),
-        })
+        Some(BatchReport::from_outcomes(outcomes, self.start.elapsed()))
     }
 
     /// Replays a fixed sharded submission trace over `shards.max(1)`
-    /// shards and returns the merged outcome stream plus the final
-    /// report — the sharded extension of [`LiveQueue::replay`].
+    /// shards (one unstamped shard for `None`) and returns the merged
+    /// outcome stream plus the final report — the sharded extension of
+    /// [`LiveQueue::replay`].
     ///
     /// The trace is split into per-shard sub-traces by the
     /// deterministic routing (pins honored, then fingerprint hash +
@@ -511,9 +535,9 @@ impl ShardedQueue {
     pub fn replay(
         trace: ShardTrace,
         config: LiveConfig,
-        shards: usize,
+        shards: impl Into<Option<usize>>,
     ) -> (Vec<RequestOutcome>, BatchReport) {
-        let shards = shards.max(1);
+        let (shards, stamped) = layout(shards.into());
         let start = Instant::now();
         // Split the global trace into one local trace per shard.
         let mut table = RouteTable::new(shards);
@@ -527,7 +551,7 @@ impl ShardedQueue {
                 }
                 TraceAction::Cancel(id) => {
                     // A cancel of a not-yet-submitted global id is a
-                    // no-op, exactly as in a flat trace replay (events
+                    // no-op, exactly as in a `LiveQueue` trace replay (events
                     // apply in order; unknown handles are skipped).
                     if let Some(&(shard, local_id)) = table.owner.get(id.index()) {
                         local[shard] =
@@ -544,30 +568,26 @@ impl ShardedQueue {
         let cache = WarmCache::shared(config.warm_capacity);
         let mut stream = Vec::new();
         let mut outcomes = Vec::with_capacity(table.owner.len());
-        let mut complete = true;
         for (shard, sub) in local.into_iter().enumerate() {
             let (shard_stream, report) =
                 LiveQueue::replay_with_cache(sub, config.clone(), Arc::clone(&cache));
-            complete &= report.complete;
+            let global_of = &table.global_of[shard];
             stream.extend(
                 shard_stream
                     .into_iter()
-                    .map(|o| globalize(o, shard, &table.global_of[shard])),
+                    .map(|o| globalize(o, shard, global_of, stamped)),
             );
             outcomes.extend(
                 report
                     .outcomes
                     .into_iter()
-                    .map(|o| globalize(o, shard, &table.global_of[shard])),
+                    .map(|o| globalize(o, shard, global_of, stamped)),
             );
         }
-        outcomes.sort_by_key(|o| o.index);
-        let report = BatchReport {
-            outcomes,
-            complete,
-            wall_time: start.elapsed(),
-        };
-        (stream, report)
+        (
+            stream,
+            BatchReport::from_outcomes(outcomes, start.elapsed()),
+        )
     }
 }
 

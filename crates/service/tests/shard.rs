@@ -298,3 +298,28 @@ fn empty_sharded_trace_produces_a_valid_empty_report() {
     assert!(report.outcomes.is_empty());
     assert!(report.complete);
 }
+
+#[test]
+fn unsharded_queue_is_one_unstamped_shard() {
+    // `None`: outcomes, journal stamps and stats carry no shard.
+    let queue = ShardedQueue::start(LiveConfig::default(), None);
+    assert_eq!(queue.shard_count(), 1);
+    assert!(queue.stats().to_json().starts_with("{\"generation\": "));
+    let (id, _) = queue
+        .submit(Request::new(benchmarks::d695(), 16).unwrap().max_tams(2))
+        .unwrap();
+    assert_eq!(queue.shard_of(id), None);
+    assert_eq!(queue.recv_outcome().expect("outcome").shard, None);
+    let report = queue.shutdown().expect("report");
+    assert_eq!(report.outcomes[0].shard, None);
+
+    // `Some(1)`: the same single shard, stamped.
+    let queue = ShardedQueue::start(LiveConfig::default(), Some(1));
+    assert!(queue.stats().to_json().starts_with("{\"shards\": ["));
+    let (id, _) = queue
+        .submit(Request::new(benchmarks::d695(), 16).unwrap().max_tams(2))
+        .unwrap();
+    assert_eq!(queue.shard_of(id), Some(0));
+    assert_eq!(queue.recv_outcome().expect("outcome").shard, Some(0));
+    queue.shutdown();
+}
