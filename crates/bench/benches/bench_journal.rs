@@ -1,17 +1,23 @@
 //! Cost of crash safety: the write-ahead request journal's append path
 //! (what every accepted submission pays) and the recovery path a
-//! restarted daemon runs (decode + unsealed fold + redo replay).
+//! restarted daemon runs (decode + unsealed fold, and the whole
+//! `ShardedQueue::recover` that `tamopt serve` calls on restart).
 //!
 //! The recovery contract is asserted before any timing: the journal
-//! image must round-trip record-for-record, the unsealed fold must
-//! recover exactly the accepted-but-unsealed ids, and redoing them must
-//! produce winners identical to an uninterrupted run of the same
-//! requests — recovery may re-spend work, it may never change a result.
+//! image must round-trip record-for-record, recovery must deliver
+//! exactly the accepted-but-unsealed ids in id order, report the
+//! journaled cancel without running it, and redo the rest with winners
+//! identical to an uninterrupted run of the same requests — recovery
+//! may re-spend work, it may never change a result.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use tamopt::benchmarks;
-use tamopt::service::{LiveConfig, LiveQueue, Request, RequestOutcome, Trace};
+use tamopt::service::{
+    LineParser, LiveConfig, LiveQueue, NetDirective, Request, RequestOutcome, RequestStatus,
+    ShardedQueue, Trace,
+};
 use tamopt::store::journal::{decode, unsealed};
 use tamopt::store::{Journal, JournalRecord, SyncPolicy};
 
@@ -33,6 +39,18 @@ fn request(spec: (&str, u32, u32)) -> Request {
         _ => benchmarks::p31108(),
     };
     Request::new(soc, width).unwrap().max_tams(max_tams)
+}
+
+/// The bench grammar, `<soc> <width> <max-tams>`: what [`records`]
+/// journals and recovery parses back.
+fn parse(line: &str) -> Result<Option<NetDirective>, String> {
+    let fields: Vec<&str> = line.split_whitespace().collect();
+    let [name, width, max_tams] = fields[..] else {
+        return Err(format!("malformed line `{line}`"));
+    };
+    let number = |field: &str| field.parse::<u32>().map_err(|e| e.to_string());
+    let spec = (name, number(width)?, number(max_tams)?);
+    Ok(Some(NetDirective::Submit(request(spec))))
 }
 
 /// What a killed daemon leaves behind: every submission accepted, the
@@ -87,28 +105,29 @@ fn bench_journal(c: &mut Criterion) {
     let decoded = decode(&image).unwrap();
     assert!(decoded.warnings.is_empty(), "{:?}", decoded.warnings);
     assert_eq!(decoded.records, records, "journal image must round-trip");
-    let recovered = unsealed(&decoded.records);
+    let config = LiveConfig::with_threads(1);
+    let parser: LineParser = Arc::new(parse);
+    let mut redo = Vec::new();
+    ShardedQueue::recover(&decoded.records, &config, None, &parser, |o| redo.push(o)).unwrap();
     assert_eq!(
-        recovered.iter().map(|r| r.id).collect::<Vec<_>>(),
+        redo.iter().map(|o| o.index).collect::<Vec<_>>(),
         vec![2, 3, 4, 5],
-        "the sealed prefix stays out of recovery"
+        "the sealed prefix stays out of recovery, the rest comes in id order"
     );
-    let live: Vec<usize> = recovered
-        .iter()
-        .filter(|r| !r.cancelled)
-        .map(|r| r.id as usize)
-        .collect();
-    let redo_trace = || {
-        live.iter()
-            .fold(Trace::new(), |t, &id| t.submit_at(0, request(WORKLOAD[id])))
-    };
-    let (redo, _) = LiveQueue::replay(redo_trace(), LiveConfig::with_threads(1));
+    let (cancelled, redo): (Vec<_>, Vec<_>) = redo
+        .into_iter()
+        .partition(|o| o.status == RequestStatus::Cancelled);
+    assert_eq!(
+        cancelled.iter().map(|o| o.index).collect::<Vec<_>>(),
+        vec![3],
+        "the journaled cancel is reported, not re-run"
+    );
     let full = WORKLOAD
         .iter()
         .fold(Trace::new(), |t, &spec| t.submit_at(0, request(spec)));
     let (reference, _) = LiveQueue::replay(full, LiveConfig::with_threads(1));
     let reference = winners(&reference);
-    let expected: Vec<String> = live.iter().map(|&id| reference[id].clone()).collect();
+    let expected: Vec<String> = redo.iter().map(|o| reference[o.index].clone()).collect();
     assert_eq!(
         winners(&redo),
         expected,
@@ -134,14 +153,16 @@ fn bench_journal(c: &mut Criterion) {
     group.bench_function("decode_unsealed", |b| {
         b.iter(|| black_box(unsealed(&decode(black_box(&image)).unwrap().records)))
     });
-    // The redo itself: replay the accepted-but-unsealed requests.
+    // The whole restart: decode, fold, redo the live set on a fresh
+    // queue and deliver every outcome (to a writer that drops it).
     group.sample_size(10);
-    group.bench_function("replay", |b| {
+    group.bench_function("recover", |b| {
         b.iter(|| {
-            black_box(LiveQueue::replay(
-                black_box(redo_trace()),
-                LiveConfig::with_threads(1),
-            ))
+            let records = decode(black_box(&image)).unwrap().records;
+            ShardedQueue::recover(&records, &config, None, &parser, |o| {
+                black_box(o);
+            })
+            .unwrap()
         })
     });
     group.finish();

@@ -68,7 +68,10 @@
 //! new input is read, and with `--store` the redo costs strictly less
 //! work while finding identical winners. `--sync` picks the fsync
 //! policy (`always` per record, `interval[:N]` every N records,
-//! `never`); a clean shutdown compacts the journal to an empty header.
+//! `never`); once every journaled id is sealed the journal compacts to
+//! an empty header. The protocol lives in the service crate
+//! ([`tamopt::service::ShardedQueue::recover`] and the journaled
+//! queue); this binary only wires it to stdin, stdout and sockets.
 //! Trace-replay stdin (`@`-tagged) is not journalled — a trace is its
 //! own deterministic recovery script. After a crash, stale sidecar
 //! locks block reopening; `--break-locks` removes them first.
@@ -91,12 +94,12 @@ use tamopt::cost::{BusCost, GateWeights};
 use tamopt::rail::{design_rails, RailConfig, RailCostModel};
 use tamopt::schedule::TestSchedule;
 use tamopt::service::{
-    BatchConfig, JournalBinding, LiveConfig, NetDirective, NetListener, NetOptions, NetServer,
+    BatchConfig, JournalBinding, LineParser, LiveConfig, NetDirective, NetListener, NetServer,
     Request, RequestOutcome, RequestStatus, ShardTrace, ShardedQueue, StoreBinding, SubmitError,
     WIRE_VERSION,
 };
 use tamopt::soc::format::parse_soc;
-use tamopt::store::{Journal, JournalRecord, Store, StoreConfig, SyncPolicy};
+use tamopt::store::{Journal, Store, StoreConfig, SyncPolicy};
 use tamopt::{benchmarks, CoOptimizer, Soc, Strategy};
 
 #[derive(Debug)]
@@ -482,18 +485,12 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
     // opts into reclaiming them (a *live* holder would lose the lock
     // too — breaking is explicitly not automatic).
     if args.break_locks {
-        if let Some(path) = &args.store {
-            match Store::break_lock(path) {
-                Ok(true) => eprintln!("tamopt: store `{path}`: broke a stale lock"),
+        for (kind, path) in [("store", &args.store), ("journal", &args.journal)] {
+            let Some(path) = path else { continue };
+            match tamopt::store::break_lock(path) {
+                Ok(true) => eprintln!("tamopt: {kind} `{path}`: broke a stale lock"),
                 Ok(false) => {}
-                Err(e) => eprintln!("tamopt: store `{path}`: cannot break lock: {e}"),
-            }
-        }
-        if let Some(path) = &args.journal {
-            match Journal::break_lock(path) {
-                Ok(true) => eprintln!("tamopt: journal `{path}`: broke a stale lock"),
-                Ok(false) => {}
-                Err(e) => eprintln!("tamopt: journal `{path}`: cannot break lock: {e}"),
+                Err(e) => eprintln!("tamopt: {kind} `{path}`: cannot break lock: {e}"),
             }
         }
     }
@@ -518,29 +515,32 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
     // Crash safety: open the write-ahead journal and — before reading
     // any input — redo whatever a previous process accepted but never
     // sealed. Recovered outcome lines print first, with original ids.
-    let journal = match &args.journal {
-        None => None,
-        Some(path) => match Journal::open(path, args.sync) {
+    let parser = line_parser(args.max_budget);
+    if let Some(path) = &args.journal {
+        let opened = match Journal::open(path, args.sync) {
+            Ok(opened) => opened,
             Err(e) => {
                 eprintln!("cannot open journal `{path}`: {e}");
                 return ExitCode::FAILURE;
             }
-            Ok(opened) => {
-                for warning in &opened.warnings {
-                    eprintln!("tamopt: journal `{path}`: {warning}");
-                }
-                let binding = JournalBinding::new(opened.journal);
-                if let Err(msg) = recover_journal(&opened.records, &binding, &config, &args) {
-                    eprintln!("{msg}");
-                    return ExitCode::FAILURE;
-                }
-                Some(binding)
+        };
+        for warning in &opened.warnings {
+            eprintln!("tamopt: journal `{path}`: {warning}");
+        }
+        config.journal = Some(JournalBinding::new(opened.journal));
+        let print = |outcome: RequestOutcome| print!("{}", outcome.to_json_line());
+        match ShardedQueue::recover(&opened.records, &config, args.shards, &parser, print) {
+            Ok(0) => {}
+            Ok(n) => eprintln!("tamopt: journal: recovered {n} accepted-but-unsealed request(s)"),
+            Err(msg) => {
+                eprintln!("{msg}");
+                return ExitCode::FAILURE;
             }
-        },
-    };
+        }
+    }
 
     if args.listen.is_some() || args.socket.is_some() {
-        return serve_net(&args, config, journal);
+        return serve_net(&args, config, parser);
     }
 
     use std::io::BufRead as _;
@@ -580,7 +580,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
             // Trace mode: collect the whole input, then replay. A trace
             // is its own deterministic recovery script, so it is not
             // journalled (recovery of a *previous* crash already ran).
-            if journal.is_some() {
+            if config.journal.is_some() {
                 eprintln!("serve: trace replay is not journalled (the trace itself is the recovery script)");
             }
             if matches!(first_directive, ServeLine::Stats) {
@@ -662,30 +662,20 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
             let report = std::thread::scope(|scope| {
                 let printer = scope.spawn(|| {
                     use std::io::Write as _;
-                    while let Some(outcome) = queue.recv_outcome() {
+                    queue.deliver(|outcome| {
                         // Lock per line, never across the blocking recv:
                         // a `stats` answer prints from the input thread.
                         let mut out = std::io::stdout().lock();
                         let _ = out.write_all(outcome.to_json_line().as_bytes());
                         let _ = out.flush();
-                        // Seal after the line reached the output: a
-                        // crash in between redoes the request rather
-                        // than losing it.
-                        if let Some(journal) = &journal {
-                            journal.sealed(outcome.index);
-                        }
-                    }
+                    });
                 });
                 let apply = |number: usize, line: &str, directive: ServeLine, errors: &mut u32| {
                     match directive {
                         ServeLine::Submit(mut request) => {
                             clamp_budget(&mut request, args.max_budget);
-                            match queue.submit(request) {
-                                Ok((id, _)) => {
-                                    if let Some(journal) = &journal {
-                                        journal.submit(id.index(), None, queue.shard_of(id), line);
-                                    }
-                                }
+                            match queue.submit_line(request, line, None) {
+                                Ok(_) => {}
                                 Err(SubmitError::ShutDown) => {
                                     eprintln!("serve: line {}: queue is shut down", number + 1);
                                     *errors += 1;
@@ -703,11 +693,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
                             }
                         }
                         ServeLine::Cancel(id) => {
-                            if queue.cancel(id.into()) {
-                                if let Some(journal) = &journal {
-                                    journal.cancel(id);
-                                }
-                            } else {
+                            if !queue.cancel(id.into()) {
                                 eprintln!("serve: line {}: unknown request id {id}", number + 1);
                                 *errors += 1;
                             }
@@ -757,11 +743,6 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
             });
             if parse_errors > 0 {
                 eprintln!("{parse_errors} invalid line(s)");
-                // Even a failed run drained its queue and sealed every
-                // outcome — a clean shutdown as far as the journal goes.
-                if let Some(journal) = &journal {
-                    journal.compact();
-                }
                 print!("{}", report.to_json());
                 return ExitCode::FAILURE;
             }
@@ -769,11 +750,6 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
         }
     };
 
-    // Clean shutdown: every accepted id is sealed, so the journal owes
-    // nothing — truncate it to an empty header.
-    if let Some(journal) = &journal {
-        journal.compact();
-    }
     print!("{}", report.to_json());
     let failed = report.count(RequestStatus::Failed);
     if failed > 0 {
@@ -792,104 +768,29 @@ fn clamp_budget(request: &mut Request, max_budget: Option<u64>) {
     }
 }
 
-/// Redoes a crashed daemon's accepted-but-unsealed requests, so a
-/// `kill -9` mid-workload loses nothing: parses each journaled line,
-/// resubmits the live ones in original-id order through a fresh queue
-/// of the same shape, prints every outcome with its original id and
-/// client stamp, and seals it. Requests that were cancelled before the
-/// crash are not re-run — their `cancelled` outcome is synthesized
-/// directly — so the output still closes every accepted id exactly
-/// once. With `--store`, the redo finds identical winners with strictly
-/// fewer completed evaluations.
-fn recover_journal(
-    records: &[JournalRecord],
-    journal: &JournalBinding,
-    config: &LiveConfig,
-    args: &ServeArgs,
-) -> Result<(), String> {
-    let pending = tamopt::store::journal::unsealed(records);
-    if pending.is_empty() {
-        return Ok(());
-    }
-    eprintln!(
-        "tamopt: journal: recovering {} accepted-but-unsealed request(s)",
-        pending.len()
-    );
-    // Parse every line up front: a journaled line was accepted by a
-    // previous run, so a failure means a foreign or hand-edited file —
-    // refuse loudly rather than dropping an accepted request.
-    let mut live = Vec::new();
-    let mut outcomes = Vec::new();
-    for r in &pending {
-        let parsed = parse_serve_line(&r.line, &load_soc)
-            .map_err(|e| format!("journal: request {}: {e}", r.id))?;
-        let Some((None, ServeLine::Submit(mut request))) = parsed else {
-            return Err(format!(
-                "journal: request {}: journaled line is not a submission",
-                r.id
-            ));
-        };
-        clamp_budget(&mut request, args.max_budget);
-        if r.cancelled {
-            outcomes.push(RequestOutcome {
-                index: r.id as usize,
-                client: r.client.map(|c| c as usize),
-                shard: r.shard.map(|s| s as usize),
-                soc: request.soc.name().to_owned(),
-                width: request.width,
-                min_tams: request.min_tams,
-                max_tams: request.max_tams,
-                priority: request.priority,
-                kind: request.kind,
-                status: RequestStatus::Cancelled,
-                result: None,
-                results: Vec::new(),
-                error: None,
-            });
-        } else {
-            live.push((r, request));
+/// The serve protocol as the network front-end and journal recovery
+/// parse it: untagged request, `cancel` and `stats` lines, with the
+/// `--max-budget` clamp applied to every request.
+fn line_parser(max_budget: Option<u64>) -> LineParser {
+    std::sync::Arc::new(move |line: &str| match parse_serve_line(line, &load_soc)? {
+        None => Ok(None),
+        Some((Some(_tag), _)) => {
+            Err("@<generation> tags are only valid in trace mode, not over the network".to_owned())
         }
-    }
-    if !live.is_empty() {
-        // Same shard count and the same warm store, but no backlog cap:
-        // everything here was accepted once already, so recovery must
-        // never shed it.
-        let mut recovery_config = config.clone();
-        recovery_config.max_pending = 0;
-        let queue = ShardedQueue::start(recovery_config, args.shards);
-        let mut owner = std::collections::HashMap::new();
-        for (r, request) in &live {
-            // Pin to the accept-time shard stamp, so the redo runs
-            // where the original did.
-            let (id, _) = queue
-                .submit_pinned(r.shard.map(|s| s as usize), request.clone())
-                .map_err(|e| format!("journal: request {}: resubmission failed: {e}", r.id))?;
-            owner.insert(id.index(), *r);
+        Some((None, ServeLine::Submit(mut request))) => {
+            clamp_budget(&mut request, max_budget);
+            Ok(Some(NetDirective::Submit(request)))
         }
-        for _ in 0..owner.len() {
-            let mut outcome = queue
-                .recv_outcome()
-                .ok_or_else(|| "journal: recovery queue died mid-replay".to_owned())?;
-            let original = owner[&outcome.index];
-            outcome.index = original.id as usize;
-            outcome.client = original.client.map(|c| c as usize);
-            outcomes.push(outcome);
-        }
-        let _ = queue.shutdown();
-    }
-    outcomes.sort_by_key(|o| o.index);
-    for outcome in &outcomes {
-        print!("{}", outcome.to_json_line());
-        journal.sealed(outcome.index);
-    }
-    Ok(())
+        Some((None, ServeLine::Cancel(id))) => Ok(Some(NetDirective::Cancel(id))),
+        Some((None, ServeLine::Stats)) => Ok(Some(NetDirective::Stats)),
+    })
 }
 
 /// The network front-end behind `serve --listen` / `--socket`: bind,
 /// announce the endpoint on stdout, serve clients until **stdin**
 /// closes (the operator's shutdown signal), then print the
 /// client-stamped final report.
-fn serve_net(args: &ServeArgs, config: LiveConfig, journal: Option<JournalBinding>) -> ExitCode {
+fn serve_net(args: &ServeArgs, config: LiveConfig, parser: LineParser) -> ExitCode {
     let listener = match (&args.listen, &args.socket) {
         (Some(addr), None) => NetListener::tcp(addr),
         (None, Some(path)) => NetListener::unix(path.as_str()),
@@ -904,38 +805,14 @@ fn serve_net(args: &ServeArgs, config: LiveConfig, journal: Option<JournalBindin
     };
     // Port 0 resolves at bind time; announce the real endpoint so
     // clients (and tests) can discover it.
-    println!("{{\"listening\": {}}}", json_escape(listener.addr()));
-
-    let max_budget = args.max_budget;
-    let parser: tamopt::service::LineParser =
-        std::sync::Arc::new(move |line: &str| match parse_serve_line(line, &load_soc)? {
-            None => Ok(None),
-            Some((Some(_tag), _)) => Err(
-                "@<generation> tags are only valid in trace mode, not over the network".to_owned(),
-            ),
-            Some((None, ServeLine::Submit(mut request))) => {
-                clamp_budget(&mut request, max_budget);
-                Ok(Some(NetDirective::Submit(request)))
-            }
-            Some((None, ServeLine::Cancel(id))) => Ok(Some(NetDirective::Cancel(id))),
-            Some((None, ServeLine::Stats)) => Ok(Some(NetDirective::Stats)),
-        });
-    let options = NetOptions {
-        max_inflight: args.max_inflight,
-        journal: journal.clone(),
-    };
-    let server = NetServer::start_with_options(config, args.shards, listener, parser, options);
+    println!("{}", listener.banner());
+    let server = NetServer::start(config, args.shards, listener, parser, args.max_inflight);
 
     // Stdin is not a request source in network mode — it is the
     // lifetime: the server runs until it closes.
     let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
 
     let report = server.shutdown().expect("first shutdown");
-    // Clean shutdown: every accepted id was sealed by the router, so
-    // the journal owes nothing — truncate it to an empty header.
-    if let Some(journal) = &journal {
-        journal.compact();
-    }
     print!("{}", report.to_json());
     let failed = report.count(RequestStatus::Failed);
     if failed > 0 {
@@ -943,25 +820,6 @@ fn serve_net(args: &ServeArgs, config: LiveConfig, journal: Option<JournalBindin
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// Escapes `value` as a JSON string literal (quotes included).
-fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn load_soc(name: &str) -> Result<Soc, String> {
@@ -1327,13 +1185,6 @@ mod tests {
                 .unwrap_err()
                 .contains("at least 1")
         );
-    }
-
-    #[test]
-    fn json_escape_matches_the_wire_format() {
-        assert_eq!(json_escape("127.0.0.1:7171"), "\"127.0.0.1:7171\"");
-        assert_eq!(json_escape("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
     }
 
     // The request-line / manifest / serve-protocol grammars are parsed

@@ -166,6 +166,7 @@ impl Batch {
             warm_capacity: 0,
             aging: 0,
             max_pending: 0,
+            journal: None,
         };
         LiveQueue::replay(trace, live).1
     }

@@ -34,7 +34,7 @@
 use std::collections::HashSet;
 
 use crate::live::LiveConfig;
-use crate::net::{error_line, LineFramer, NetDirective};
+use crate::net::{error_line, oversized_line, unknown_id_line, LineFramer, NetDirective};
 use crate::report::{BatchReport, RequestOutcome};
 use crate::shard::{ShardTrace, ShardedQueue};
 
@@ -216,14 +216,7 @@ pub fn replay(
                 for frame in frames {
                     let text = match frame {
                         crate::net::Frame::Oversized => {
-                            states[client].responses.push(error_line(
-                                client,
-                                "oversized",
-                                &format!(
-                                    "line exceeds {} bytes; discarded up to the next newline",
-                                    crate::net::MAX_LINE_LEN
-                                ),
-                            ));
+                            states[client].responses.push(oversized_line(client));
                             continue;
                         }
                         crate::net::Frame::Line(text) => text,
@@ -246,13 +239,8 @@ pub fn replay(
                         Ok(Some(NetDirective::Cancel(local))) => {
                             let state = &mut states[client];
                             if local >= state.globals.len() {
-                                let detail = format!(
-                                    "request {local} is outside this client's namespace ({} submitted)",
-                                    state.globals.len()
-                                );
-                                state
-                                    .responses
-                                    .push(error_line(client, "unknown-id", &detail));
+                                let line = unknown_id_line(client, local, state.globals.len());
+                                state.responses.push(line);
                             } else {
                                 let global = state.globals[local];
                                 if state.cancelled.insert(global) {

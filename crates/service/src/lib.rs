@@ -47,7 +47,13 @@
 //!   (and compressed cost tables) survive restarts. Store hits are
 //!   work-saving only — every winner is bit-identical to a cold run's;
 //!   the prune statistics just record less work (strictly fewer
-//!   completed evaluations once a seed prunes anything).
+//!   completed evaluations once a seed prunes anything);
+//! * a [`JournalBinding`] attaches a write-ahead request journal: the
+//!   live [`ShardedQueue`] owns the whole protocol — journal at accept,
+//!   seal in its one delivery loop ([`ShardedQueue::deliver`]), compact
+//!   once fully sealed — and [`ShardedQueue::recover`] redoes what a
+//!   crashed process left unsealed, so the crash contract is testable
+//!   in-process.
 //!
 //! # Determinism
 //!
@@ -100,13 +106,23 @@ pub mod shard;
 pub use crate::batch::{run_batch, Batch, BatchConfig};
 pub use crate::chaos::{ChaosOutcome, ChaosScenario, ClientScript, ClientTranscript};
 pub use crate::live::{
-    JournalBinding, LiveConfig, LiveQueue, PendingStat, QueueStats, RequestId, StoreBinding,
-    SubmitError, Trace, TraceAction, TraceEvent, DEFAULT_SNAPSHOT_EVERY, DEFAULT_WARM_CAPACITY,
+    LiveConfig, LiveQueue, PendingStat, QueueStats, RequestId, StoreBinding, SubmitError, Trace,
+    TraceAction, TraceEvent, DEFAULT_SNAPSHOT_EVERY, DEFAULT_WARM_CAPACITY,
 };
 pub use crate::net::{
-    error_line, Frame, LineFramer, LineParser, NetDirective, NetListener, NetOptions, NetServer,
-    MAX_LINE_LEN,
+    error_line, Frame, LineFramer, LineParser, NetDirective, NetListener, NetServer, MAX_LINE_LEN,
 };
 pub use crate::report::{BatchReport, RequestOutcome, RequestStatus, ResultEntry, WIRE_VERSION};
 pub use crate::request::{Request, RequestError, RequestKind};
-pub use crate::shard::{ShardStats, ShardTrace, ShardedQueue, ShardedStats, STEAL_MARGIN};
+pub use crate::shard::{
+    JournalBinding, ShardStats, ShardTrace, ShardedQueue, ShardedStats, STEAL_MARGIN,
+};
+
+/// Locks `mutex`, recovering the guard from a poisoned lock: every
+/// mutex in this crate guards state that stays consistent between
+/// statements, so a panicked holder leaves nothing half-written.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

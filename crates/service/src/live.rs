@@ -61,7 +61,8 @@ use tamopt_wrapper::TimeTable;
 use crate::batch::{run_request, WarmSeed};
 use crate::report::{json_string, BatchReport, RequestOutcome, RequestStatus};
 use crate::request::RequestKind;
-use crate::Request;
+use crate::shard::JournalBinding;
+use crate::{lock, Request};
 
 /// Configuration of a [`LiveQueue`].
 #[derive(Debug, Clone)]
@@ -102,6 +103,11 @@ pub struct LiveConfig {
     /// start, fed at every merge, snapshotted at generation barriers
     /// and at shutdown.
     pub store: Option<StoreBinding>,
+    /// Optional write-ahead request journal (`--journal`), kept by a
+    /// live [`crate::ShardedQueue`] (see [`JournalBinding`]).
+    /// [`LiveQueue`] and every trace replay ignore it: a trace is its
+    /// own recovery script.
+    pub journal: Option<JournalBinding>,
     /// Overload protection: upper bound on the pending (accepted, not
     /// yet dispatched) backlog (`0` = unbounded, the default). When a
     /// submission would exceed the cap, the weakest entry — the lowest
@@ -154,15 +160,11 @@ impl StoreBinding {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Store> {
-        self.store.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Saves the store if it is dirty, demoting failures to a stderr
     /// warning — persistence is an accelerator, never worth failing a
     /// request over.
     pub(crate) fn snapshot(&self) {
-        let mut store = self.lock();
+        let mut store = lock(&self.store);
         if store.is_dirty() {
             if let Err(e) = store.save() {
                 eprintln!("tamopt: warm-store snapshot failed: {e}");
@@ -174,7 +176,7 @@ impl StoreBinding {
     /// cache without holding the store lock while the cache lock is
     /// taken (both stay leaf locks).
     pub(crate) fn contents(&self) -> Vec<(u64, StoredEntry)> {
-        self.lock()
+        lock(&self.store)
             .iter()
             .map(|(fingerprint, entry)| (fingerprint, entry.clone()))
             .collect()
@@ -188,7 +190,7 @@ impl StoreBinding {
         entries: &[crate::report::ResultEntry],
         columns: &Option<CostColumns>,
     ) {
-        let mut store = self.lock();
+        let mut store = lock(&self.store);
         for entry in entries {
             store.record_incumbent(
                 fingerprint,
@@ -203,68 +205,6 @@ impl StoreBinding {
     }
 }
 
-/// A write-ahead request journal shared across the threads that accept,
-/// cancel and seal requests (the `--journal` flag of `tamopt serve`).
-///
-/// Thin cloneable wrapper over [`tamopt_store::Journal`]: every method
-/// takes the leaf mutex for one append and demotes I/O failures to a
-/// stderr warning, mirroring [`StoreBinding`] — a sick disk degrades
-/// crash recoverability, it never takes the daemon down with it.
-#[derive(Debug, Clone)]
-pub struct JournalBinding {
-    journal: Arc<Mutex<tamopt_store::Journal>>,
-}
-
-impl JournalBinding {
-    /// Wraps an opened [`tamopt_store::Journal`].
-    pub fn new(journal: tamopt_store::Journal) -> Self {
-        JournalBinding {
-            journal: Arc::new(Mutex::new(journal)),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, tamopt_store::Journal> {
-        self.journal.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn append(&self, record: &tamopt_store::JournalRecord) {
-        if let Err(e) = self.lock().append(record) {
-            eprintln!("tamopt: journal append failed: {e}");
-        }
-    }
-
-    /// Journals an accepted submission: its global id, the client and
-    /// shard stamps (when known) and the canonical request line it can
-    /// be resubmitted from.
-    pub fn submit(&self, id: usize, client: Option<usize>, shard: Option<usize>, line: &str) {
-        self.append(&tamopt_store::JournalRecord::Submit {
-            id: id as u64,
-            client: client.map(|c| c as u64),
-            shard: shard.map(|s| s as u64),
-            line: line.to_owned(),
-        });
-    }
-
-    /// Journals an accepted cancellation of global submission `id`.
-    pub fn cancel(&self, id: usize) {
-        self.append(&tamopt_store::JournalRecord::Cancel { id: id as u64 });
-    }
-
-    /// Journals that submission `id`'s outcome reached the output — the
-    /// request no longer needs redoing after a crash.
-    pub fn sealed(&self, id: usize) {
-        self.append(&tamopt_store::JournalRecord::Sealed { id: id as u64 });
-    }
-
-    /// Truncates the journal to an empty header — the clean-shutdown
-    /// path, once every accepted request has been sealed.
-    pub fn compact(&self) {
-        if let Err(e) = self.lock().compact() {
-            eprintln!("tamopt: journal compaction failed: {e}");
-        }
-    }
-}
-
 impl Default for LiveConfig {
     fn default() -> Self {
         LiveConfig {
@@ -275,6 +215,7 @@ impl Default for LiveConfig {
             aging: 0,
             warm_capacity: DEFAULT_WARM_CAPACITY,
             store: None,
+            journal: None,
             max_pending: 0,
         }
     }
@@ -477,10 +418,6 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     cv: Condvar,
-}
-
-fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, State> {
-    shared.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The incumbent cache: best known heuristic times per SOC fingerprint,
@@ -691,6 +628,20 @@ impl Book {
         let _ = self.stream.send(outcome.clone());
         self.outcomes.push(outcome);
     }
+
+    /// Streams the [`RequestStatus::Shed`] outcomes of overload
+    /// protection's evictions, in id order. Their handles are already
+    /// unregistered: a queued victim loses its handle at eviction, a
+    /// shed newcomer never registered one.
+    fn emit_shed(&mut self, mut shed: Vec<Pending>) {
+        shed.sort_by_key(|p| p.id);
+        for p in &shed {
+            self.emit(RequestOutcome {
+                error: Some(SHED_NOTE.to_owned()),
+                ..bare_outcome(p.id, &p.request, RequestStatus::Shed)
+            });
+        }
+    }
 }
 
 /// The `error` note attached to every [`RequestStatus::Shed`] outcome,
@@ -712,11 +663,7 @@ const SHED_NOTE: &str =
 /// be the one shed.
 fn overload_victim(state: &mut State, aging: u32, incoming_priority: i32) -> Option<Pending> {
     let generation = state.last_barrier;
-    let aging = i64::from(aging);
-    let effective = |p: &Pending| {
-        let waited = p.seen_at.map_or(0, |seen| generation.saturating_sub(seen));
-        i64::from(p.request.priority) + aging * i64::from(waited)
-    };
+    let effective = |p: &Pending| aged(p, generation, aging).1;
     let (index, weakest) = state
         .pending
         .iter()
@@ -731,9 +678,54 @@ fn overload_victim(state: &mut State, aging: u32, incoming_priority: i32) -> Opt
     }
 }
 
+/// An entry's aged priority as of barrier `generation`: the barriers it
+/// has waited since the dispatcher first saw it (zero before that) and
+/// its effective priority `priority + aging × waited`, in i64 so
+/// extreme priorities cannot overflow. The one formula behind dispatch
+/// order, overload victims and [`LiveQueue::stats`].
+fn aged(p: &Pending, generation: u32, aging: u32) -> (u32, i64) {
+    let waited = p.seen_at.map_or(0, |seen| generation.saturating_sub(seen));
+    let effective = i64::from(p.request.priority) + i64::from(aging) * i64::from(waited);
+    (waited, effective)
+}
+
+/// Admits one submission into the backlog: wraps its budget in a fresh
+/// cancellation handle under the next id and, with the backlog at its
+/// [`LiveConfig::max_pending`] cap, evicts the weakest queued entry to
+/// make room. `Err` hands back a newcomer that is itself the weakest,
+/// its id not yet consumed: the live path refuses it, trace replay
+/// (whose ids are positional — cancels reference them) consumes the id
+/// and sheds it with an outcome.
+fn admit(
+    state: &mut State,
+    aging: u32,
+    max_pending: usize,
+    request: Request,
+) -> Result<(RequestId, CancelHandle), Box<Pending>> {
+    let (budget, handle) = request.budget.clone().cancellable();
+    let entry = Pending {
+        id: state.next_id,
+        fingerprint: request.soc.fingerprint(),
+        request: Request { budget, ..request },
+        handle: handle.clone(),
+        seen_at: None,
+    };
+    if max_pending > 0 && state.pending.len() >= max_pending {
+        match overload_victim(state, aging, entry.request.priority) {
+            Some(victim) => state.shed.push(victim),
+            None => return Err(Box::new(entry)),
+        }
+    }
+    state.next_id += 1;
+    state.handles.insert(entry.id, handle.clone());
+    let id = RequestId(entry.id);
+    state.pending.push(entry);
+    Ok((id, handle))
+}
+
 /// An outcome carrying no result — cancelled before dispatch, or skipped
 /// because the global budget ran out first.
-fn bare_outcome(id: usize, request: &Request, status: RequestStatus) -> RequestOutcome {
+pub(crate) fn bare_outcome(id: usize, request: &Request, status: RequestStatus) -> RequestOutcome {
     RequestOutcome {
         index: id,
         client: None,
@@ -937,31 +929,14 @@ impl LiveQueue {
     /// looks exactly as if the submission never happened, and the
     /// caller may retry once the backlog drains.
     pub fn submit(&self, request: Request) -> Result<(RequestId, CancelHandle), SubmitError> {
-        let mut state = lock(&self.shared);
+        let mut state = lock(&self.shared.state);
         if state.shutdown {
             return Err(SubmitError::ShutDown);
         }
-        if self.max_pending > 0 && state.pending.len() >= self.max_pending {
-            match overload_victim(&mut state, self.aging, request.priority) {
-                Some(victim) => state.shed.push(victim),
-                None => return Err(SubmitError::Overloaded),
-            }
-        }
-        let (budget, handle) = request.budget.clone().cancellable();
-        let fingerprint = request.soc.fingerprint();
-        let id = state.next_id;
-        state.next_id += 1;
-        state.pending.push(Pending {
-            id,
-            request: Request { budget, ..request },
-            handle: handle.clone(),
-            fingerprint,
-            seen_at: None,
-        });
-        state.handles.insert(id, handle.clone());
+        let admitted = admit(&mut state, self.aging, self.max_pending, request);
         drop(state);
         self.shared.cv.notify_all();
-        Ok((RequestId(id), handle))
+        admitted.map_err(|_| SubmitError::Overloaded)
     }
 
     /// Cancels submission `id` (pending or already dispatched); returns
@@ -970,7 +945,7 @@ impl LiveQueue {
     /// Equivalent to the [`CancelHandle`] returned by
     /// [`submit`](Self::submit).
     pub fn cancel(&self, id: RequestId) -> bool {
-        let state = lock(&self.shared);
+        let state = lock(&self.shared.state);
         let known = state.handles.get(&id.0).inspect(|h| h.cancel()).is_some();
         drop(state);
         self.shared.cv.notify_all();
@@ -979,7 +954,7 @@ impl LiveQueue {
 
     /// Number of submissions accepted so far.
     pub fn submitted(&self) -> usize {
-        lock(&self.shared).next_id
+        lock(&self.shared.state).next_id
     }
 
     /// A snapshot of the backlog: pending entries with their raw
@@ -988,21 +963,20 @@ impl LiveQueue {
     /// ties by submission id). Deterministic under replay — the aging
     /// clock counts generation barriers, never the wall clock.
     pub fn stats(&self) -> QueueStats {
-        let state = lock(&self.shared);
+        let state = lock(&self.shared.state);
         let generation = state.last_barrier;
-        let aging = i64::from(self.aging);
         let mut pending: Vec<PendingStat> = state
             .pending
             .iter()
             .map(|p| {
-                let waited = p.seen_at.map_or(0, |seen| generation.saturating_sub(seen));
+                let (waited, effective) = aged(p, generation, self.aging);
                 PendingStat {
                     id: p.id,
                     soc: p.request.soc.name().to_owned(),
                     kind: p.request.kind,
                     priority: p.request.priority,
                     barriers_waited: waited,
-                    effective_priority: i64::from(p.request.priority) + aging * i64::from(waited),
+                    effective_priority: effective,
                 }
             })
             .collect();
@@ -1018,11 +992,7 @@ impl LiveQueue {
     /// Blocks until the next outcome streams out of the pool; `None`
     /// once the dispatcher has finished and all outcomes were received.
     pub fn recv_outcome(&self) -> Option<RequestOutcome> {
-        self.outcomes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .recv()
-            .ok()
+        lock(&self.outcomes).recv().ok()
     }
 
     /// The next outcome if one is ready right now (never blocks — a
@@ -1051,16 +1021,12 @@ impl LiveQueue {
     }
 
     fn signal_shutdown(&self) {
-        lock(&self.shared).shutdown = true;
+        lock(&self.shared.state).shutdown = true;
         self.shared.cv.notify_all();
     }
 
     fn join(&self) -> Option<BatchReport> {
-        let handle = self
-            .dispatcher
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()?;
+        let handle = lock(&self.dispatcher).take()?;
         Some(handle.join().expect("dispatcher thread panicked"))
     }
 }
@@ -1103,7 +1069,7 @@ fn dispatch(
     // cache and store mutexes are both leaf locks, never nested.
     if let Some(binding) = &config.store {
         let contents = binding.contents();
-        let mut warm = cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut warm = lock(&cache);
         for (fingerprint, entry) in contents {
             warm.adopt(fingerprint, entry);
         }
@@ -1116,33 +1082,10 @@ fn dispatch(
 
     let apply = |state: &mut State, event: TraceEvent| match event.action {
         TraceAction::Submit(request) => {
-            let (budget, handle) = request.budget.clone().cancellable();
-            let fingerprint = request.soc.fingerprint();
-            let id = state.next_id;
-            state.next_id += 1;
-            let entry = Pending {
-                id,
-                request: Request { budget, ..request },
-                handle: handle.clone(),
-                fingerprint,
-                seen_at: None,
-            };
-            // Unlike the live path, a replayed submission that loses
-            // the overload decision still consumes its id and owes a
-            // [`RequestStatus::Shed`] outcome: trace ids are positional
-            // (cancels reference them), so refusal must not renumber
-            // everything after it.
-            if config.max_pending > 0 && state.pending.len() >= config.max_pending {
-                match overload_victim(state, config.aging, entry.request.priority) {
-                    Some(victim) => state.shed.push(victim),
-                    None => {
-                        state.shed.push(entry);
-                        return;
-                    }
-                }
+            if let Err(loser) = admit(state, config.aging, config.max_pending, request) {
+                state.next_id += 1;
+                state.shed.push(*loser);
             }
-            state.handles.insert(id, handle);
-            state.pending.push(entry);
         }
         TraceAction::Cancel(id) => {
             if let Some(handle) = state.handles.get(&id.0) {
@@ -1165,7 +1108,7 @@ fn dispatch(
             }
         }
         let mut book = book.borrow_mut();
-        let mut state = lock(shared);
+        let mut state = lock(&shared.state);
         state.last_barrier = generation;
         loop {
             // 1. Inject trace events due at this barrier.
@@ -1178,15 +1121,7 @@ fn dispatch(
             // before dispatch never reach the pool; their outcomes
             // stream right here, each group in id order (shed first —
             // eviction preceded this barrier).
-            let mut shed = std::mem::take(&mut state.shed);
-            shed.sort_by_key(|p| p.id);
-            for p in &shed {
-                state.handles.remove(&p.id);
-                book.emit(RequestOutcome {
-                    error: Some(SHED_NOTE.to_owned()),
-                    ..bare_outcome(p.id, &p.request, RequestStatus::Shed)
-                });
-            }
+            book.emit_shed(std::mem::take(&mut state.shed));
             let (mut cancelled, kept): (Vec<Pending>, Vec<Pending>) =
                 std::mem::take(&mut state.pending)
                     .into_iter()
@@ -1231,17 +1166,10 @@ fn dispatch(
         for p in &mut state.pending {
             p.seen_at.get_or_insert(generation);
         }
-        // Effective priority = priority + aging × generations waited;
-        // i64 arithmetic so extreme priorities cannot overflow. Ties
-        // keep submission order.
-        let aging = i64::from(config.aging);
-        state.pending.sort_by_key(|p| {
-            let waited = i64::from(generation - p.seen_at.unwrap_or(generation));
-            (
-                std::cmp::Reverse(i64::from(p.request.priority) + aging * waited),
-                p.id,
-            )
-        });
+        // Effective priority descending; ties keep submission order.
+        state
+            .pending
+            .sort_by_key(|p| (std::cmp::Reverse(aged(p, generation, config.aging).1), p.id));
         let take = capacity.min(state.pending.len());
         // The pool splits proportionally across the generation's
         // dispatches: each inner scan runs `max(1, pool / take)` wide,
@@ -1254,7 +1182,7 @@ fn dispatch(
             .drain(..take)
             .map(|p| {
                 let seed = if config.warm_start {
-                    let mut cache = book.cache.lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut cache = lock(&book.cache);
                     cache.seed(p.fingerprint, &p.request)
                 } else {
                     WarmSeed::default()
@@ -1292,7 +1220,7 @@ fn dispatch(
         },
         |evaluated| {
             let mut book = book.borrow_mut();
-            let mut state = lock(shared);
+            let mut state = lock(&shared.state);
             for (dispatch, result) in evaluated {
                 state.handles.remove(&dispatch.id);
                 let outcome = match result {
@@ -1302,8 +1230,7 @@ fn dispatch(
                             // own width — a frontier or top-k request
                             // warms the cache across its whole payload
                             // (all K incumbents, not just the headline).
-                            let mut cache =
-                                book.cache.lock().unwrap_or_else(PoisonError::into_inner);
+                            let mut cache = lock(&book.cache);
                             for entry in &res.entries {
                                 cache.record(
                                     dispatch.fingerprint,
@@ -1361,7 +1288,7 @@ fn dispatch(
     // Seal the queue and report whatever never got dispatched (the
     // global budget ran out, or the replay truncated) as skipped.
     let mut book = book.into_inner();
-    let mut state = lock(shared);
+    let mut state = lock(&shared.state);
     state.shutdown = true;
     let mut leftovers: Vec<Pending> = std::mem::take(&mut state.pending);
     let mut shed: Vec<Pending> = std::mem::take(&mut state.shed);
@@ -1378,13 +1305,7 @@ fn dispatch(
     state.handles.clear();
     drop(state);
     // Evictions that never saw another barrier still owe their outcome.
-    shed.sort_by_key(|p| p.id);
-    for p in &shed {
-        book.emit(RequestOutcome {
-            error: Some(SHED_NOTE.to_owned()),
-            ..bare_outcome(p.id, &p.request, RequestStatus::Shed)
-        });
-    }
+    book.emit_shed(shed);
     leftovers.sort_by_key(|p| p.id);
     for p in &leftovers {
         let status = if p.handle.is_cancelled() {

@@ -24,7 +24,10 @@
 //!   Queued ones surface as `cancelled` bare outcomes, dispatched ones
 //!   finish at the next generation barrier (truncated but valid) and
 //!   record into the shared warm cache — nothing leaks, and sibling
-//!   clients' streams are unaffected;
+//!   clients' streams are unaffected. These cancels take the queue's
+//!   one cancel path, so a journaled server journals them: after a
+//!   crash a gone client's unsealed request comes back `cancelled`
+//!   instead of being re-run;
 //! * a slow or stalled reader never stalls siblings: outcome lines
 //!   buffer in the server-side per-connection writer queue until the
 //!   client drains them.
@@ -34,6 +37,11 @@
 //! [`LineParser`] mapping one raw line to a [`NetDirective`]. The final
 //! [`BatchReport`] returned by [`NetServer::shutdown`] keeps global
 //! submission ids and stamps each outcome with the submitting client.
+//!
+//! With a [`LiveConfig::journal`] the queue journals every accepted
+//! line with its client stamp, and the outcome router drains the queue
+//! through [`ShardedQueue::deliver`], sealing each id after its line
+//! reached the client's writer queue.
 //!
 //! The deterministic counterpart of this live front-end is the
 //! multi-client trace replay in [`crate::chaos`].
@@ -47,11 +55,12 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::live::{JournalBinding, LiveConfig, RequestId, SubmitError};
+use crate::live::{LiveConfig, RequestId, SubmitError};
+use crate::lock;
 use crate::report::{json_string, BatchReport, WIRE_VERSION};
 use crate::request::Request;
 use crate::shard::ShardedQueue;
@@ -63,10 +72,6 @@ pub const MAX_LINE_LEN: usize = 64 * 1024;
 
 /// How often blocked accept/read loops wake up to check for shutdown.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -186,6 +191,27 @@ pub fn error_line(client: usize, code: &str, detail: &str) -> String {
     )
 }
 
+/// The `oversized` error line answering a frame past [`MAX_LINE_LEN`]
+/// (shared with the replay twin in [`crate::chaos`]).
+pub(crate) fn oversized_line(client: usize) -> String {
+    error_line(
+        client,
+        "oversized",
+        &format!("line exceeds {MAX_LINE_LEN} bytes; discarded up to the next newline"),
+    )
+}
+
+/// The `unknown-id` error line answering `cancel <local>` from a client
+/// that has made only `submitted` submissions (shared with the replay
+/// twin in [`crate::chaos`]).
+pub(crate) fn unknown_id_line(client: usize, local: usize, submitted: usize) -> String {
+    error_line(
+        client,
+        "unknown-id",
+        &format!("request {local} is outside this client's namespace ({submitted} submitted)"),
+    )
+}
+
 /// Renders the per-connection greeting announcing the client id.
 fn greeting_line(client: usize) -> String {
     format!("{{\"protocol\": \"tamopt-serve\", \"v\": {WIRE_VERSION}, \"client\": {client}}}\n")
@@ -255,6 +281,13 @@ impl NetListener {
     /// the socket path for unix.
     pub fn addr(&self) -> &str {
         &self.addr
+    }
+
+    /// The `{"listening": "<endpoint>"}` line (without newline) that
+    /// announces the bound endpoint, so clients can discover a port-0
+    /// resolution.
+    pub fn banner(&self) -> String {
+        format!("{{\"listening\": {}}}", json_string(&self.addr))
     }
 
     fn accept(&self) -> io::Result<Conn> {
@@ -364,12 +397,8 @@ struct Shared {
     mux: Mutex<Mux>,
     shutdown: AtomicBool,
     parser: LineParser,
-    /// Per-client in-flight quota ([`NetOptions::max_inflight`]).
+    /// Per-client in-flight quota (see [`NetServer::start`]).
     max_inflight: usize,
-    /// Write-ahead request journal ([`NetOptions::journal`]): accepted
-    /// submissions and cancellations append at accept time, outcomes
-    /// seal as they stream.
-    journal: Option<JournalBinding>,
     /// Reader and writer thread handles, joined at shutdown.
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -403,14 +432,7 @@ impl Shared {
 
     fn handle_frame(&self, client: usize, frame: Frame) {
         match frame {
-            Frame::Oversized => {
-                let line = error_line(
-                    client,
-                    "oversized",
-                    &format!("line exceeds {MAX_LINE_LEN} bytes; discarded up to the next newline"),
-                );
-                lock(&self.mux).respond(client, line);
-            }
+            Frame::Oversized => lock(&self.mux).respond(client, oversized_line(client)),
             Frame::Line(text) => match (self.parser)(&text) {
                 Err(detail) => {
                     lock(&self.mux).respond(client, error_line(client, "parse", &detail));
@@ -445,7 +467,7 @@ impl Shared {
                 return;
             }
         }
-        match self.queue.submit(request) {
+        match self.queue.submit_line(request, line, Some(client)) {
             Ok((id, _)) => {
                 let global = id.index();
                 let slot = &mut mux.clients[client];
@@ -453,14 +475,6 @@ impl Shared {
                 slot.globals.push(global);
                 mux.outstanding.insert(global, (client, local));
                 mux.stamps.insert(global, (client, local));
-                // Journal at accept, inside the mux lock: the append
-                // lands before any later accept (or this request's own
-                // seal) can, so journal order matches accept order. The
-                // shard stamp records where routing placed it, so
-                // recovery re-runs it on the same shard.
-                if let Some(journal) = &self.journal {
-                    journal.submit(global, Some(client), self.queue.shard_of(id), line);
-                }
             }
             Err(SubmitError::ShutDown) => {
                 mux.respond(
@@ -488,20 +502,13 @@ impl Shared {
         let mux = lock(&self.mux);
         let submitted = mux.clients[client].globals.len();
         if local >= submitted {
-            let detail = format!(
-                "request {local} is outside this client's namespace ({submitted} submitted)"
-            );
-            mux.respond(client, error_line(client, "unknown-id", &detail));
+            mux.respond(client, unknown_id_line(client, local, submitted));
             return;
         }
         // In-namespace cancels of already-finished requests are silent
         // no-ops, matching LiveQueue::cancel semantics.
         let global = mux.clients[client].globals[local];
-        if self.queue.cancel(RequestId::from(global)) {
-            if let Some(journal) = &self.journal {
-                journal.cancel(global);
-            }
-        }
+        self.queue.cancel(RequestId::from(global));
     }
 
     fn stats(&self, client: usize) {
@@ -538,23 +545,6 @@ impl Shared {
 // ---------------------------------------------------------------------------
 // The server
 
-/// Front-end tunables beyond the queue's own [`LiveConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct NetOptions {
-    /// Per-client in-flight quota (`0` = unbounded, the default): a
-    /// client with this many submissions outstanding gets an
-    /// `overloaded` [`error_line`] instead of an accepted id, so one
-    /// greedy client cannot monopolize the backlog. The connection is
-    /// unaffected; draining one outcome frees one slot.
-    pub max_inflight: usize,
-    /// Optional write-ahead request journal (`--journal`): accepted
-    /// submissions append before the accept returns, cancellations at
-    /// accept, and every streamed outcome seals its id — so a killed
-    /// daemon can deterministically resubmit exactly the
-    /// accepted-but-unsealed set on restart.
-    pub journal: Option<JournalBinding>,
-}
-
 /// A running multi-client front-end. See the [module docs](self) for
 /// the protocol and disconnect semantics.
 pub struct NetServer {
@@ -568,26 +558,23 @@ pub struct NetServer {
 
 impl NetServer {
     /// Starts the queue (a [`ShardedQueue`] over `n` shards for
-    /// `shards = Some(n)`, its unstamped single shard for `None`) and begins
-    /// accepting connections on `listener`, parsing protocol lines with
-    /// `parser`.
+    /// `shards = Some(n)`, its unstamped single shard for `None`;
+    /// journaled when `config` carries a [`LiveConfig::journal`]) and
+    /// begins accepting connections on `listener`, parsing protocol
+    /// lines with `parser`.
+    ///
+    /// `max_inflight` is the per-client in-flight quota (`0` =
+    /// unbounded; the `--max-inflight` flag of `tamopt serve`): a client
+    /// with this many submissions outstanding gets an `overloaded`
+    /// [`error_line`] instead of an accepted id, so one greedy client
+    /// cannot monopolize the backlog. The connection is unaffected;
+    /// draining one outcome frees one slot.
     pub fn start(
         config: LiveConfig,
         shards: Option<usize>,
         listener: NetListener,
         parser: LineParser,
-    ) -> Self {
-        Self::start_with_options(config, shards, listener, parser, NetOptions::default())
-    }
-
-    /// [`start`](Self::start) with explicit front-end tunables (the
-    /// `--max-inflight` path of `tamopt serve`).
-    pub fn start_with_options(
-        config: LiveConfig,
-        shards: Option<usize>,
-        listener: NetListener,
-        parser: LineParser,
-        options: NetOptions,
+        max_inflight: usize,
     ) -> Self {
         let queue = ShardedQueue::start(config, shards);
         let addr = listener.addr().to_owned();
@@ -597,8 +584,7 @@ impl NetServer {
             mux: Mutex::new(Mux::default()),
             shutdown: AtomicBool::new(false),
             parser,
-            max_inflight: options.max_inflight,
-            journal: options.journal,
+            max_inflight,
             workers: Mutex::new(Vec::new()),
         });
 
@@ -785,32 +771,26 @@ fn register(shared: &Arc<Shared>, conn: Conn) {
     lock(&shared.workers).extend([writer, reader]);
 }
 
-/// Drains the queue's merged outcome stream, rewriting each outcome to
-/// the owning client's namespace (`index` = local id, `"client"`
-/// stamped) and forwarding it to that client's writer. Outcomes of
-/// disconnected clients are dropped here — their owner entries are
-/// still removed, so a disconnect never leaks bookkeeping.
+/// Drains the queue through its delivery loop, rewriting each outcome
+/// to the owning client's namespace (`index` = local id, `"client"`
+/// stamped) and forwarding it to that client's writer; the queue seals
+/// the id once the line is handed over. Outcomes of disconnected
+/// clients are dropped here — their owner entries are still removed,
+/// so a disconnect never leaks bookkeeping.
 fn router_loop(shared: &Arc<Shared>) {
-    while let Some(outcome) = shared.queue.recv_outcome() {
-        // Seal before routing, and regardless of whether the owner is
-        // still connected: the outcome has merged, so a crash from here
-        // on must not redo the request.
-        if let Some(journal) = &shared.journal {
-            journal.sealed(outcome.index);
-        }
+    shared.queue.deliver(|mut outcome| {
         let mut mux = lock(&shared.mux);
         let Some((client, local)) = mux.outstanding.remove(&outcome.index) else {
-            continue;
+            return;
         };
         if mux.clients[client].tx.is_none() {
-            continue;
+            return;
         }
-        let mut outcome = outcome;
         outcome.client = Some(client);
         outcome.index = local;
         let line = outcome.to_json_line();
         mux.respond(client, line);
-    }
+    });
 }
 
 #[cfg(test)]

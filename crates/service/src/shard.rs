@@ -47,19 +47,38 @@
 //! runs the unsharded daemon — a single shard whose outcomes, journal
 //! stamps and `stats` snapshot carry no shard at all, byte-identical to
 //! a lone [`LiveQueue`].
+//!
+//! # Cancellation under replay
+//!
+//! A trace's generation tags count barriers of the shard that owns the
+//! event, and a shard holding a fraction of the trace reaches each
+//! barrier after less work than the unsharded queue does. So
+//! `@g cancel n` can land at a different point of request `n`'s life
+//! under different shard shapes: still queued (a bare `cancelled`
+//! outcome), mid-scan (`cancelled` with a truncated answer), or
+//! already finished (the cancel misses and the answer is `complete`).
+//! For a fixed shape the outcome is still byte-identical for every
+//! thread count, and every request no trace event cancels has the same
+//! winner under every shape; a cancelled request only promises one of
+//! those three outcomes, and a `complete` one carries the winner of an
+//! uncancelled run.
 
+use std::collections::HashSet;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use tamopt_engine::CancelHandle;
+use tamopt_store::journal::unsealed;
+use tamopt_store::{Journal, JournalRecord};
 
 use crate::live::{
-    LiveConfig, LiveQueue, QueueStats, RequestId, SubmitError, Trace, TraceAction, TraceEvent,
-    WarmCache,
+    bare_outcome, LiveConfig, LiveQueue, QueueStats, RequestId, SubmitError, Trace, TraceAction,
+    TraceEvent, WarmCache,
 };
-use crate::report::{BatchReport, RequestOutcome};
-use crate::Request;
+use crate::net::{LineParser, NetDirective};
+use crate::report::{BatchReport, RequestOutcome, RequestStatus};
+use crate::{lock, Request};
 
 /// How many more routed requests than the least-loaded shard a
 /// request's home shard must already hold before the request is stolen
@@ -94,42 +113,27 @@ impl ShardTrace {
 
     /// Appends a hash-routed submission applying at generation barrier
     /// `generation` of its shard.
-    pub fn submit_at(mut self, generation: u32, request: Request) -> Self {
-        self.events.push(ShardTraceEvent {
-            event: TraceEvent {
-                generation,
-                action: TraceAction::Submit(request),
-            },
-            shard: None,
-        });
-        self
+    pub fn submit_at(self, generation: u32, request: Request) -> Self {
+        self.push(generation, TraceAction::Submit(request), None)
     }
 
     /// Appends a submission pinned to `shard` (bypassing hash routing
     /// and stealing), applying at generation barrier `generation` of
     /// that shard. Pins beyond the shard count wrap (`shard % N`).
-    pub fn submit_pinned_at(mut self, generation: u32, shard: usize, request: Request) -> Self {
-        self.events.push(ShardTraceEvent {
-            event: TraceEvent {
-                generation,
-                action: TraceAction::Submit(request),
-            },
-            shard: Some(shard),
-        });
-        self
+    pub fn submit_pinned_at(self, generation: u32, shard: usize, request: Request) -> Self {
+        self.push(generation, TraceAction::Submit(request), Some(shard))
     }
 
     /// Appends a cancellation of global submission `id`, applying at
     /// generation barrier `generation` of the shard that owns the
     /// submission.
-    pub fn cancel_at(mut self, generation: u32, id: impl Into<RequestId>) -> Self {
-        self.events.push(ShardTraceEvent {
-            event: TraceEvent {
-                generation,
-                action: TraceAction::Cancel(id.into()),
-            },
-            shard: None,
-        });
+    pub fn cancel_at(self, generation: u32, id: impl Into<RequestId>) -> Self {
+        self.push(generation, TraceAction::Cancel(id.into()), None)
+    }
+
+    fn push(mut self, generation: u32, action: TraceAction, shard: Option<usize>) -> Self {
+        let event = TraceEvent { generation, action };
+        self.events.push(ShardTraceEvent { event, shard });
         self
     }
 
@@ -200,8 +204,123 @@ impl RouteTable {
     }
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+/// A write-ahead request journal attached to a serving queue through
+/// [`LiveConfig::journal`] (the `--journal` flag of `tamopt serve`).
+///
+/// Opaque by design: a live [`ShardedQueue`] does all the journal work.
+/// It appends a `Submit` record (raw request line, client stamp, shard
+/// stamp) in the route-lock section that assigns the global id, a
+/// `Cancel` whenever [`ShardedQueue::cancel`] reaches an in-flight
+/// request, and a `Sealed` record for each outcome
+/// [`ShardedQueue::deliver`] has handed to its writer; once the stream
+/// has ended with every journaled id sealed, it compacts the file to
+/// its empty header. [`ShardedQueue::recover`] redoes what a crashed
+/// process left unsealed. I/O failures are demoted to stderr warnings,
+/// mirroring [`crate::StoreBinding`] — a sick disk degrades crash
+/// recoverability, it never takes the daemon down — and an id whose
+/// seal failed keeps the journal from compacting.
+#[derive(Debug, Clone)]
+pub struct JournalBinding {
+    state: Arc<Mutex<JournalState>>,
+}
+
+/// The journal handle plus the ids it still owes a seal, behind one
+/// leaf mutex.
+#[derive(Debug)]
+struct JournalState {
+    journal: Journal,
+    /// Journaled ids whose `Sealed` record has not been appended yet.
+    owed: HashSet<usize>,
+}
+
+impl JournalState {
+    fn append(&mut self, record: &JournalRecord) -> bool {
+        match self.journal.append(record) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("tamopt: journal append failed: {e}");
+                false
+            }
+        }
+    }
+}
+
+impl JournalBinding {
+    /// Wraps an opened [`Journal`].
+    pub fn new(journal: Journal) -> Self {
+        JournalBinding {
+            state: Arc::new(Mutex::new(JournalState {
+                journal,
+                owed: HashSet::new(),
+            })),
+        }
+    }
+
+    fn submit(&self, id: usize, client: Option<usize>, shard: Option<usize>, line: &str) {
+        let mut state = lock(&self.state);
+        let record = JournalRecord::Submit {
+            id: id as u64,
+            client: client.map(|c| c as u64),
+            shard: shard.map(|s| s as u64),
+            line: line.to_owned(),
+        };
+        if state.append(&record) {
+            state.owed.insert(id);
+        }
+    }
+
+    fn cancel(&self, id: usize) {
+        lock(&self.state).append(&JournalRecord::Cancel { id: id as u64 });
+    }
+
+    /// Ids a crashed process journaled and never sealed: recovery owes
+    /// their seals now.
+    fn owe(&self, ids: impl IntoIterator<Item = usize>) {
+        lock(&self.state).owed.extend(ids);
+    }
+
+    fn seal(&self, id: usize) {
+        let mut state = lock(&self.state);
+        if state.append(&JournalRecord::Sealed { id: id as u64 }) {
+            state.owed.remove(&id);
+        }
+    }
+
+    /// The end of a delivered stream: compact to the empty header when
+    /// every journaled id is sealed, otherwise keep the records for the
+    /// next start to recover.
+    fn finish(&self) {
+        let mut state = lock(&self.state);
+        if !state.owed.is_empty() {
+            eprintln!(
+                "tamopt: journal: {} journaled request(s) unsealed; not compacting",
+                state.owed.len()
+            );
+        } else if let Err(e) = state.journal.compact() {
+            eprintln!("tamopt: journal compaction failed: {e}");
+        }
+    }
+}
+
+/// The one delivery loop: hands each outcome to `write`, then seals its
+/// id — after the writer has it, so a crash in between redoes the
+/// request rather than losing it — and finishes the journal once the
+/// stream has ended.
+fn deliver_sealed(
+    journal: Option<&JournalBinding>,
+    outcomes: impl IntoIterator<Item = RequestOutcome>,
+    mut write: impl FnMut(RequestOutcome),
+) {
+    for outcome in outcomes {
+        let id = outcome.index;
+        write(outcome);
+        if let Some(journal) = journal {
+            journal.seal(id);
+        }
+    }
+    if let Some(journal) = journal {
+        journal.finish();
+    }
 }
 
 /// Re-stamps a shard-local outcome as a global one (shard-stamped only
@@ -316,6 +435,8 @@ pub struct ShardedQueue {
     /// Whether outcomes, journal stamps and stats carry the shard
     /// (`false` only for the unsharded single shard).
     stamped: bool,
+    /// The write-ahead journal of [`LiveConfig::journal`], if any.
+    journal: Option<JournalBinding>,
     /// Merged outcome stream, fed by one forwarder thread per shard.
     outcomes: Mutex<Receiver<RequestOutcome>>,
     forwarders: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -326,8 +447,11 @@ impl ShardedQueue {
     /// with its own dispatcher and worker pool configured by its own
     /// clone of `config` (so `config.threads` is **per shard**), all
     /// sharing one warm cache. `None` starts the unsharded daemon: one
-    /// shard whose outcomes carry no shard stamp.
-    pub fn start(config: LiveConfig, shards: impl Into<Option<usize>>) -> Self {
+    /// shard whose outcomes carry no shard stamp. A
+    /// [`LiveConfig::journal`] makes the queue journal what it accepts
+    /// and seal what it [`deliver`](Self::deliver)s.
+    pub fn start(mut config: LiveConfig, shards: impl Into<Option<usize>>) -> Self {
+        let journal = config.journal.take();
         let (shards, stamped) = layout(shards.into());
         let cache = WarmCache::shared(config.warm_capacity);
         let queues: Arc<Vec<LiveQueue>> = Arc::new(
@@ -365,6 +489,7 @@ impl ShardedQueue {
             route,
             start: Instant::now(),
             stamped,
+            journal,
             outcomes: Mutex::new(rx),
             forwarders: Mutex::new(forwarders),
         }
@@ -382,38 +507,68 @@ impl ShardedQueue {
     ///
     /// # Errors
     ///
-    /// As [`submit_pinned`](Self::submit_pinned).
-    pub fn submit(&self, request: Request) -> Result<(RequestId, CancelHandle), SubmitError> {
-        self.submit_pinned(None, request)
-    }
-
-    /// Submits `request` to shard `pin` (wrapped into range) or, with
-    /// no pin, by fingerprint routing as [`submit`](Self::submit) does.
-    /// The recovery path pins a journalled request to the shard that
-    /// originally accepted it.
-    ///
-    /// # Errors
-    ///
     /// [`SubmitError::ShutDown`] after [`shutdown`](Self::shutdown);
     /// [`SubmitError::Overloaded`] when the routed shard's backlog is
     /// at [`LiveConfig::max_pending`] (the cap is per shard) and this
     /// request is its weakest entry. Either way the speculative global
     /// id is unwound — a refused submission consumes nothing.
-    pub fn submit_pinned(
+    ///
+    /// # Panics
+    ///
+    /// On a journaled queue: it journals only what arrives through
+    /// [`submit_line`](Self::submit_line), and a request accepted here
+    /// would escape the journal.
+    pub fn submit(&self, request: Request) -> Result<(RequestId, CancelHandle), SubmitError> {
+        assert!(
+            self.journal.is_none(),
+            "a journaled queue accepts through `submit_line`"
+        );
+        self.accept(request, None, None)
+    }
+
+    /// [`submit`](Self::submit) for a request that arrived as protocol
+    /// line `line` from network client `client` (`None` on stdin). On a
+    /// journaled queue the line, the client stamp and the shard stamp
+    /// are journaled before the global id is released, so a crash from
+    /// then on redoes the request.
+    ///
+    /// # Errors
+    ///
+    /// As [`submit`](Self::submit).
+    pub fn submit_line(
         &self,
-        pin: Option<usize>,
         request: Request,
+        line: &str,
+        client: Option<usize>,
+    ) -> Result<(RequestId, CancelHandle), SubmitError> {
+        self.accept(request, None, Some((line, client)))
+    }
+
+    /// The one accept path: routes `request` by fingerprint (or to
+    /// shard `pin`) and, on a journaled queue, journals `accepted` (raw
+    /// line, client).
+    fn accept(
+        &self,
+        request: Request,
+        pin: Option<usize>,
+        accepted: Option<(&str, Option<usize>)>,
     ) -> Result<(RequestId, CancelHandle), SubmitError> {
         // The route lock is held across the shard submit so local ids
         // assigned by the shard queue stay in lock-step with the
         // mapping (the shard's own state lock nests inside it; the
-        // forwarders take the route lock alone, so no cycle).
+        // forwarders take the route lock alone, so no cycle). The
+        // journal append lands inside it too, so journal order is
+        // accept order and no cancel or seal of the id can precede it.
         let mut table = lock(&self.route);
         let (shard, local) = table.assign(request.soc.fingerprint(), pin);
         match self.shards[shard].submit(request) {
             Ok((id, handle)) => {
                 debug_assert_eq!(id.index(), local);
-                Ok((RequestId::from(table.owner.len() - 1), handle))
+                let global = table.owner.len() - 1;
+                if let (Some(journal), Some((line, client))) = (&self.journal, accepted) {
+                    journal.submit(global, client, self.stamped.then_some(shard), line);
+                }
+                Ok((RequestId::from(global), handle))
             }
             Err(err) => {
                 // Unwind the speculative assignment: the shard queue
@@ -426,22 +581,20 @@ impl ShardedQueue {
         }
     }
 
-    /// The shard that accepted global submission `id` — the
-    /// accept-time stamp the journal records. `None` for unknown ids and
-    /// on the unsharded queue, which stamps nothing.
-    pub fn shard_of(&self, id: RequestId) -> Option<usize> {
-        let shard = lock(&self.route).owner.get(id.index())?.0;
-        self.stamped.then_some(shard)
-    }
-
     /// Cancels global submission `id` on its owning shard; `false` for
-    /// unknown ids and for requests whose outcome already streamed.
+    /// unknown ids and for requests whose outcome already streamed. A
+    /// journaled queue journals every cancel that reaches an in-flight
+    /// request, so recovery reports it `cancelled` instead of redoing it.
     pub fn cancel(&self, id: RequestId) -> bool {
         let owner = lock(&self.route).owner.get(id.index()).copied();
-        match owner {
+        let reached = match owner {
             Some((shard, local)) => self.shards[shard].cancel(RequestId::from(local)),
             None => false,
+        };
+        if let (true, Some(journal)) = (reached, &self.journal) {
+            journal.cancel(id.index());
         }
+        reached
     }
 
     /// Number of submissions accepted so far (across all shards).
@@ -478,21 +631,111 @@ impl ShardedQueue {
 
     /// Blocks until the next outcome streams out of any shard (global
     /// id, shard stamped); `None` once every shard has finished and all
-    /// outcomes were received.
+    /// outcomes were received. Drain a journaled queue through
+    /// [`deliver`](Self::deliver) instead, which seals what it hands
+    /// out.
     pub fn recv_outcome(&self) -> Option<RequestOutcome> {
         lock(&self.outcomes).recv().ok()
     }
 
-    /// The next outcome if one is ready right now (never blocks; see
-    /// [`LiveQueue::try_recv_outcome`] for the `None` caveats).
-    pub fn try_recv_outcome(&self) -> Option<RequestOutcome> {
-        match self.outcomes.try_lock() {
-            Ok(receiver) => receiver.try_recv().ok(),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                poisoned.into_inner().try_recv().ok()
+    /// The delivery loop of a serving queue: hands every outcome to
+    /// `write` as it streams, until every shard has finished (after
+    /// [`shutdown`](Self::shutdown)). On a journaled queue each id is
+    /// sealed right after `write` returns, and once the stream has
+    /// ended with every journaled id sealed the journal compacts to its
+    /// empty header — skipped, with a stderr warning, if any is not.
+    pub fn deliver(&self, write: impl FnMut(RequestOutcome)) {
+        deliver_sealed(
+            self.journal.as_ref(),
+            std::iter::from_fn(|| self.recv_outcome()),
+            write,
+        );
+    }
+
+    /// Redoes the accepted-but-unsealed requests a crashed daemon left
+    /// in its journal `records`, so a `kill -9` mid-workload loses
+    /// nothing; returns how many were delivered.
+    ///
+    /// Each journaled line is parsed with `parser` (the network
+    /// front-end's) and must be a submission. The requests run live on
+    /// a fresh queue of `shards` shape and `config` — every shard at
+    /// once, as the crashed daemon ran them — with no backlog cap
+    /// (everything here was accepted once already), each pinned to its
+    /// journaled shard. Journaled-cancelled requests are not re-run:
+    /// they are reported `cancelled`. Every outcome carries its
+    /// original id and client stamp, and all of them go through the
+    /// delivery loop of [`deliver`](Self::deliver) in id order, sealed
+    /// into `config.journal`, which then compacts. With a warm store the
+    /// redo finds identical winners with strictly fewer completed
+    /// evaluations.
+    ///
+    /// # Errors
+    ///
+    /// A journaled line that does not parse to a submission: a foreign
+    /// or hand-edited journal is refused loudly rather than dropping an
+    /// accepted request.
+    pub fn recover(
+        records: &[JournalRecord],
+        config: &LiveConfig,
+        shards: Option<usize>,
+        parser: &LineParser,
+        write: impl FnMut(RequestOutcome),
+    ) -> Result<usize, String> {
+        let pending = unsealed(records);
+        let mut outcomes = Vec::with_capacity(pending.len());
+        let mut redo = Vec::new();
+        for r in &pending {
+            let request = match parser(&r.line) {
+                Ok(Some(NetDirective::Submit(request))) => request,
+                Ok(_) => {
+                    return Err(format!(
+                        "journal: request {}: journaled line is not a submission",
+                        r.id
+                    ))
+                }
+                Err(e) => return Err(format!("journal: request {}: {e}", r.id)),
+            };
+            if r.cancelled {
+                outcomes.push(RequestOutcome {
+                    client: r.client.map(|c| c as usize),
+                    shard: r.shard.map(|s| s as usize),
+                    ..bare_outcome(r.id as usize, &request, RequestStatus::Cancelled)
+                });
+            } else {
+                redo.push((r, request));
             }
-            Err(std::sync::TryLockError::WouldBlock) => None,
         }
+        if !redo.is_empty() {
+            let queue = ShardedQueue::start(
+                LiveConfig {
+                    max_pending: 0,
+                    journal: None,
+                    ..config.clone()
+                },
+                shards,
+            );
+            // The redo queue numbers its accepts 0, 1, 2, … in journal
+            // order, which is the order of its final report.
+            let (owners, requests): (Vec<_>, Vec<_>) = redo.into_iter().unzip();
+            for (r, request) in owners.iter().zip(requests) {
+                queue
+                    .accept(request, r.shard.map(|s| s as usize), None)
+                    .map_err(|e| format!("journal: request {}: resubmission failed: {e}", r.id))?;
+            }
+            let report = queue.shutdown().expect("a fresh queue shuts down once");
+            for (mut outcome, r) in report.outcomes.into_iter().zip(owners) {
+                outcome.index = r.id as usize;
+                outcome.client = r.client.map(|c| c as usize);
+                outcomes.push(outcome);
+            }
+        }
+        outcomes.sort_by_key(|o| o.index);
+        let delivered = outcomes.len();
+        if let Some(journal) = &config.journal {
+            journal.owe(pending.iter().map(|r| r.id as usize));
+        }
+        deliver_sealed(config.journal.as_ref(), outcomes, write);
+        Ok(delivered)
     }
 
     /// Shuts every shard down, drains their backlogs and returns the

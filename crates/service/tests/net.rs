@@ -69,6 +69,7 @@ fn tcp_server(threads: usize, shards: Option<usize>) -> NetServer {
         shards,
         listener,
         parser(),
+        0,
     )
 }
 
@@ -292,7 +293,7 @@ fn disconnect_cancels_pending_work_without_leaking_or_touching_siblings() {
     let mut config = LiveConfig::with_threads(1);
     config.requests_per_generation = 1;
     let listener = NetListener::tcp("127.0.0.1:0").expect("binding a loopback port");
-    let server = NetServer::start(config, None, listener, parser());
+    let server = NetServer::start(config, None, listener, parser(), 0);
     let addr = server.addr().to_owned();
     let mut dropper = Client::connect(&addr);
     let mut sibling = Client::connect(&addr);
@@ -379,7 +380,7 @@ fn outcome_lines_are_run_invariant_per_client_with_warm_start_off() {
         let mut config = LiveConfig::with_threads(threads);
         config.warm_start = false;
         let listener = NetListener::tcp("127.0.0.1:0").expect("binding a loopback port");
-        let server = NetServer::start(config, None, listener, parser());
+        let server = NetServer::start(config, None, listener, parser(), 0);
         let mut client = Client::connect(server.addr());
         let mut lines = Vec::new();
         for spec in ["d695 16 2", "p31108 24 3", "d695 24 3"] {
@@ -400,7 +401,7 @@ fn unix_socket_end_to_end() {
     let path = std::env::temp_dir().join(format!("tamopt-net-test-{}.sock", std::process::id()));
     let listener = NetListener::unix(&path).expect("binding the unix socket");
     assert_eq!(listener.addr(), path.to_string_lossy());
-    let server = NetServer::start(LiveConfig::with_threads(1), None, listener, parser());
+    let server = NetServer::start(LiveConfig::with_threads(1), None, listener, parser(), 0);
 
     let stream = std::os::unix::net::UnixStream::connect(&path).expect("connecting");
     stream

@@ -1,13 +1,16 @@
 //! Crash-recovery and overload-protection tests.
 //!
-//! The journal half simulates a crash at the library level: a workload
-//! is journaled exactly as the daemon would (submits with accept-time
-//! shard stamps, a cancel, a sealed prefix), the file is reopened, and
-//! the accepted-but-unsealed set is resubmitted into a fresh queue over
-//! the full threads × shards grid. The oracle is the recovery contract:
-//! every redone request produces the same winners as an uninterrupted
-//! run — shard stamps and wall-clock stats aside — no matter what shape
-//! the restarted daemon has.
+//! The journal half tests the crash contract in-process. A journaled
+//! `ShardedQueue` accepts a workload and the journal bytes are copied
+//! mid-delivery — the "kill" — or a journal is written record by record
+//! exactly as the daemon would; either way `ShardedQueue::recover`, the
+//! function `tamopt serve` calls on restart, redoes the
+//! accepted-but-unsealed set over the threads × shards grid. The oracle
+//! is the recovery contract: every redone request produces the same
+//! winners as an uninterrupted run — shard stamps and wall-clock stats
+//! aside — no matter what shape the restarted daemon has, cancelled
+//! ones come back `cancelled`, and the journal compacts to its empty
+//! header once everything is sealed.
 //!
 //! The overload half drives deterministic shedding through replay
 //! (byte-identical across thread counts) and through a live queue with
@@ -22,11 +25,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tamopt_service::{
-    LineParser, LiveConfig, LiveQueue, NetDirective, NetListener, NetOptions, NetServer, Request,
-    RequestOutcome, RequestStatus, ShardTrace, ShardedQueue, SubmitError, Trace,
+    JournalBinding, LineParser, LiveConfig, LiveQueue, NetDirective, NetListener, NetServer,
+    Request, RequestOutcome, RequestStatus, ShardedQueue, SubmitError, Trace,
 };
 use tamopt_soc::benchmarks;
-use tamopt_store::journal::unsealed;
+use tamopt_store::journal::{decode, unsealed};
 use tamopt_store::{Journal, JournalRecord, SyncPolicy};
 
 /// The crash workload: `(soc, width, max_tams, priority)`. Small enough
@@ -64,16 +67,16 @@ fn line(spec: (&str, u32, u32, i32)) -> String {
     format!("{name} {width} {max_tams} priority={priority}")
 }
 
-/// The comparable part of an outcome: everything from `"soc"` on, minus
-/// the wall-clock-dependent `stats` tail. Ids are remapped and shard
-/// stamps are routing metadata, so both stay out of the comparison.
+/// The comparable part of an outcome line: the prune-statistics tail
+/// (a warm-started redo prunes more) and the shard stamp (routing
+/// metadata) are stripped; everything else — the original id included
+/// — must be byte-identical.
 fn winner(outcome: &RequestOutcome) -> String {
-    let json = outcome.to_json_line();
-    let start = json.find("\"soc\": ").expect("a soc field in the outcome");
-    let body = &json[start..];
-    match body.rfind(", \"stats\": ") {
-        Some(end) => body[..end].to_owned(),
-        None => body.to_owned(),
+    let line = outcome.to_json_line();
+    let head = line.split(", \"stats\": ").next().unwrap_or(&line);
+    match (head.find(", \"shard\": "), head.find(", \"soc\": ")) {
+        (Some(start), Some(end)) if start < end => format!("{}{}", &head[..start], &head[end..]),
+        _ => head.to_owned(),
     }
 }
 
@@ -81,16 +84,48 @@ fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tamopt-recovery-{}-{name}", std::process::id()))
 }
 
-#[test]
-fn unsealed_requests_redo_identically_across_threads_and_shards() {
-    // The uninterrupted reference: a flat single-threaded replay of the
-    // full workload, winners keyed by id.
+/// The uninterrupted reference: a flat single-threaded replay of the
+/// full workload, winners indexed by id.
+fn reference_winners() -> Vec<String> {
     let full = WORKLOAD
         .iter()
         .fold(Trace::new(), |t, &spec| t.submit_at(0, request(spec)));
     let (mut reference, _) = LiveQueue::replay(full, LiveConfig::with_threads(1));
     reference.sort_by_key(|o| o.index);
-    let reference: Vec<String> = reference.iter().map(winner).collect();
+    reference.iter().map(winner).collect()
+}
+
+/// `config` journaling into the file at `path`, plus the records a
+/// previous process left there.
+fn journaled(path: &PathBuf, config: LiveConfig) -> (LiveConfig, Vec<JournalRecord>) {
+    let opened = Journal::open(path, SyncPolicy::Always).expect("opening the journal");
+    assert!(opened.warnings.is_empty(), "{:?}", opened.warnings);
+    let config = LiveConfig {
+        journal: Some(JournalBinding::new(opened.journal)),
+        ..config
+    };
+    (config, opened.records)
+}
+
+/// Restarts on the journal at `path` through the library recovery and
+/// returns the delivered outcomes, in delivery order.
+fn recover(path: &PathBuf, threads: usize, shards: Option<usize>) -> Vec<RequestOutcome> {
+    let (config, records) = journaled(path, LiveConfig::with_threads(threads));
+    let mut delivered = Vec::new();
+    ShardedQueue::recover(&records, &config, shards, &parser(), |o| delivered.push(o))
+        .expect("recovering the journal");
+    delivered
+}
+
+/// The journal at `path` is back to its 12-byte empty header.
+fn assert_compacted(path: &PathBuf, context: &str) {
+    let len = fs::metadata(path).expect("the journal exists").len();
+    assert_eq!(len, 12, "journal not compacted after {context}");
+}
+
+#[test]
+fn unsealed_requests_redo_identically_across_threads_and_shards() {
+    let reference = reference_winners();
 
     // Journal the workload the way the daemon does: every accept with
     // its shard stamp, one accepted cancel, then a crash after the
@@ -121,6 +156,7 @@ fn unsealed_requests_redo_identically_across_threads_and_shards() {
         }
         // The crash: the journal handle just goes away.
     }
+    let crashed = fs::read(&path).expect("reading the crashed journal");
 
     let opened = Journal::open(&path, SyncPolicy::Always).expect("reopening after the crash");
     assert!(
@@ -150,31 +186,29 @@ fn unsealed_requests_redo_identically_across_threads_and_shards() {
         );
     }
 
-    // Redo the live (not cancelled) recovered set on every daemon shape
-    // and hold each redo to the uninterrupted winners.
+    // Restart every daemon shape on a copy of the crashed journal and
+    // hold each redo of the live (not cancelled) set to the
+    // uninterrupted winners.
     let live: Vec<&tamopt_store::journal::RecoveredRequest> =
         recovered.iter().filter(|r| !r.cancelled).collect();
     for &threads in &[1usize, 2, 8] {
         for &shards in &[None, Some(1usize), Some(2), Some(4)] {
-            let outcomes = match shards {
-                None => {
-                    let trace = live.iter().fold(Trace::new(), |t, r| {
-                        t.submit_at(0, request(WORKLOAD[r.id as usize]))
-                    });
-                    LiveQueue::replay(trace, LiveConfig::with_threads(threads)).0
-                }
-                Some(shards) => {
-                    // Pin each redo to its recorded accept-time shard,
-                    // exactly as `tamopt serve` recovery does.
-                    let trace = live.iter().fold(ShardTrace::new(), |t, r| {
-                        let pin = r.shard.expect("sharded submits carry a stamp") as usize;
-                        t.submit_pinned_at(0, pin, request(WORKLOAD[r.id as usize]))
-                    });
-                    ShardedQueue::replay(trace, LiveConfig::with_threads(threads), shards).0
-                }
-            };
-            let mut outcomes = outcomes;
-            outcomes.sort_by_key(|o| o.index);
+            let path = temp_path(&format!("grid-{threads}-{shards:?}.tamjrnl"));
+            fs::write(&path, &crashed).expect("restoring the crashed journal");
+            let delivered = recover(&path, threads, shards);
+            assert_compacted(&path, "recovery");
+            let _ = fs::remove_file(&path);
+
+            let ids: Vec<u64> = delivered.iter().map(|o| o.index as u64).collect();
+            assert_eq!(ids, vec![2, 3, 4, 5], "delivered in id order");
+            let (cancelled, outcomes): (Vec<_>, Vec<_>) = delivered
+                .iter()
+                .partition(|o| o.status == RequestStatus::Cancelled);
+            assert_eq!(
+                cancelled.iter().map(|o| o.index).collect::<Vec<_>>(),
+                vec![3],
+                "the journaled cancel is reported, not re-run"
+            );
             assert_eq!(outcomes.len(), live.len());
             for (outcome, r) in outcomes.iter().zip(&live) {
                 assert_eq!(
@@ -186,6 +220,117 @@ fn unsealed_requests_redo_identically_across_threads_and_shards() {
             }
         }
     }
+}
+
+#[test]
+fn journaled_queue_recovers_a_kill_after_two_deliveries() {
+    let reference = reference_winners();
+    for &threads in &[1usize, 2] {
+        for &shards in &[None, Some(1usize), Some(2), Some(4)] {
+            let cell = format!("threads={threads} shards={shards:?}");
+            let path = temp_path(&format!("live-{threads}-{shards:?}.tamjrnl"));
+            let kill = temp_path(&format!("kill-{threads}-{shards:?}.tamjrnl"));
+            let _ = fs::remove_file(&path);
+            let (config, records) = journaled(&path, LiveConfig::with_threads(threads));
+            assert!(records.is_empty(), "a fresh journal");
+            let queue = ShardedQueue::start(config, shards);
+            for &spec in WORKLOAD {
+                queue
+                    .submit_line(request(spec), &line(spec), None)
+                    .expect("accepting the workload");
+            }
+            queue.shutdown().expect("the final report");
+            // The "kill": the journal bytes as they stood once two
+            // deliveries were sealed (each id seals after its write
+            // returns, so that is during the third write).
+            let mut delivered = 0;
+            queue.deliver(|_| {
+                delivered += 1;
+                if delivered == 3 {
+                    fs::copy(&path, &kill).expect("copying the journal");
+                }
+            });
+            assert_eq!(delivered, WORKLOAD.len(), "{cell}");
+            assert_compacted(&path, "a fully delivered stream");
+            drop(queue);
+            let _ = fs::remove_file(&path);
+
+            let records = decode(&fs::read(&kill).expect("reading the copy"))
+                .expect("the copy decodes")
+                .records;
+            let mut owed: Vec<usize> = Vec::new();
+            let mut sealed = 0;
+            for record in &records {
+                match record {
+                    JournalRecord::Submit { id, shard, .. } => {
+                        // The accept-time shard stamp, only on a
+                        // sharded queue.
+                        assert_eq!(shard.is_some(), shards.is_some(), "{cell}");
+                        owed.push(*id as usize);
+                    }
+                    JournalRecord::Sealed { id } => {
+                        owed.retain(|&o| o != *id as usize);
+                        sealed += 1;
+                    }
+                    JournalRecord::Cancel { .. } => panic!("nothing was cancelled"),
+                }
+            }
+            assert_eq!(sealed, 2, "{cell}");
+            owed.sort_unstable();
+
+            let recovered = recover(&kill, threads, shards);
+            assert_compacted(&kill, "recovery");
+            let _ = fs::remove_file(&kill);
+            assert_eq!(
+                recovered.iter().map(|o| o.index).collect::<Vec<_>>(),
+                owed,
+                "accepted minus sealed, in id order ({cell})"
+            );
+            for outcome in &recovered {
+                assert_eq!(
+                    winner(outcome),
+                    reference[outcome.index],
+                    "recovered id {} drifted ({cell})",
+                    outcome.index
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn compaction_waits_for_every_journaled_id() {
+    let path = temp_path("guard.tamjrnl");
+    let _ = fs::remove_file(&path);
+    let (config, _) = journaled(&path, LiveConfig::with_threads(1));
+    let queue = ShardedQueue::start(config, None);
+    for &spec in &WORKLOAD[..3] {
+        queue
+            .submit_line(request(spec), &line(spec), None)
+            .expect("accepting the workload");
+    }
+    queue.shutdown().expect("the final report");
+    // One outcome bypasses the delivery loop, so its id is never sealed
+    // and the ended stream must leave the journal uncompacted.
+    let bypassed = queue.recv_outcome().expect("an outcome").index;
+    let mut delivered = 0;
+    queue.deliver(|_| delivered += 1);
+    assert_eq!(delivered, 2);
+    drop(queue);
+    assert!(
+        fs::metadata(&path).expect("the journal exists").len() > 12,
+        "an unsealed id must keep the journal from compacting"
+    );
+
+    // The next start owes exactly that id, and compacts once it is
+    // delivered.
+    let recovered = recover(&path, 1, None);
+    assert_eq!(
+        recovered.iter().map(|o| o.index).collect::<Vec<_>>(),
+        vec![bypassed]
+    );
+    assert_compacted(&path, "recovering the unsealed id");
+    let _ = fs::remove_file(&path);
 }
 
 #[test]
@@ -350,6 +495,7 @@ fn live_submission_is_refused_only_when_it_is_the_weakest() {
 /// The network test grammar: `<soc> <width> <max-tams> [priority]`,
 /// `cancel <id>`, `stats` — just enough to steer the overload paths.
 fn parse(line: &str) -> Result<Option<NetDirective>, String> {
+    // Journaled workload lines spell the priority `priority=P`.
     let line = line.trim();
     if line.is_empty() {
         return Ok(None);
@@ -389,11 +535,16 @@ fn parse(line: &str) -> Result<Option<NetDirective>, String> {
     if let Some(priority) = parts.next() {
         request = request.priority(
             priority
+                .trim_start_matches("priority=")
                 .parse()
                 .map_err(|_| "invalid priority".to_owned())?,
         );
     }
     Ok(Some(NetDirective::Submit(request)))
+}
+
+fn parser() -> LineParser {
+    Arc::new(parse)
 }
 
 struct Client {
@@ -433,17 +584,7 @@ impl Client {
 #[test]
 fn inflight_quota_answers_with_a_typed_error_and_keeps_the_connection() {
     let listener = NetListener::tcp("127.0.0.1:0").expect("binding a loopback port");
-    let parser: LineParser = Arc::new(parse);
-    let server = NetServer::start_with_options(
-        LiveConfig::with_threads(1),
-        None,
-        listener,
-        parser,
-        NetOptions {
-            max_inflight: 1,
-            ..NetOptions::default()
-        },
-    );
+    let server = NetServer::start(LiveConfig::with_threads(1), None, listener, parser(), 1);
     let mut client = Client::connect(server.addr());
 
     // A long request holds the single in-flight slot: this shape takes
@@ -488,4 +629,71 @@ fn inflight_quota_answers_with_a_typed_error_and_keeps_the_connection() {
         "post-quota outcome: {outcome}"
     );
     server.shutdown();
+}
+
+#[test]
+fn network_disconnect_cancels_are_journaled() {
+    let path = temp_path("disconnect.tamjrnl");
+    let _ = fs::remove_file(&path);
+    let (config, _) = journaled(&path, LiveConfig::with_threads(1));
+    let listener = NetListener::tcp("127.0.0.1:0").expect("binding a loopback port");
+    let server = NetServer::start(config, None, listener, parser(), 0);
+
+    // Two long requests (seconds of search each), registered before the
+    // stats reply arrives, then the client goes away.
+    let mut client = Client::connect(server.addr());
+    client.send("p93791 64 16");
+    client.send("p93791 64 15");
+    client.send("stats");
+    let stats = client.read_line();
+    assert!(
+        stats.contains("\"mine\": [0, 1]"),
+        "both outstanding: {stats}"
+    );
+    drop(client);
+
+    // The disconnect takes the queue's cancel path, which journals one
+    // `Cancel` per outstanding id.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let (bytes, records) = loop {
+        let bytes = fs::read(&path).expect("reading the journal");
+        let records = decode(&bytes).expect("the journal decodes").records;
+        let cancels = records
+            .iter()
+            .filter(|r| matches!(r, JournalRecord::Cancel { .. }))
+            .count();
+        if cancels >= 2 || std::time::Instant::now() > deadline {
+            break (bytes, records);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let mut submitted: Vec<u64> = Vec::new();
+    let mut cancelled: Vec<u64> = Vec::new();
+    for record in &records {
+        match record {
+            JournalRecord::Submit { id, client, .. } => {
+                assert_eq!(*client, Some(0), "the client stamp is journaled");
+                submitted.push(*id);
+            }
+            JournalRecord::Cancel { id } => cancelled.push(*id),
+            JournalRecord::Sealed { .. } => {}
+        }
+    }
+    assert_eq!(submitted, vec![0, 1]);
+    cancelled.sort_unstable();
+    assert_eq!(cancelled, submitted, "one cancel per outstanding id");
+
+    // A crash right now: whatever is still unsealed comes back
+    // `cancelled`, never re-run.
+    let kill = temp_path("disconnect-kill.tamjrnl");
+    fs::write(&kill, &bytes).expect("copying the journal");
+    for outcome in recover(&kill, 1, None) {
+        assert_eq!(outcome.status, RequestStatus::Cancelled, "{outcome:?}");
+        assert_eq!(outcome.client, Some(0));
+    }
+    let _ = fs::remove_file(&kill);
+
+    server.shutdown().expect("the final report");
+    assert_compacted(&path, "a clean shutdown");
+    let _ = fs::remove_file(&path);
 }

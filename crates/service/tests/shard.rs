@@ -305,10 +305,9 @@ fn unsharded_queue_is_one_unstamped_shard() {
     let queue = ShardedQueue::start(LiveConfig::default(), None);
     assert_eq!(queue.shard_count(), 1);
     assert!(queue.stats().to_json().starts_with("{\"generation\": "));
-    let (id, _) = queue
+    queue
         .submit(Request::new(benchmarks::d695(), 16).unwrap().max_tams(2))
         .unwrap();
-    assert_eq!(queue.shard_of(id), None);
     assert_eq!(queue.recv_outcome().expect("outcome").shard, None);
     let report = queue.shutdown().expect("report");
     assert_eq!(report.outcomes[0].shard, None);
@@ -316,10 +315,9 @@ fn unsharded_queue_is_one_unstamped_shard() {
     // `Some(1)`: the same single shard, stamped.
     let queue = ShardedQueue::start(LiveConfig::default(), Some(1));
     assert!(queue.stats().to_json().starts_with("{\"shards\": ["));
-    let (id, _) = queue
+    queue
         .submit(Request::new(benchmarks::d695(), 16).unwrap().max_tams(2))
         .unwrap();
-    assert_eq!(queue.shard_of(id), Some(0));
     assert_eq!(queue.recv_outcome().expect("outcome").shard, Some(0));
     queue.shutdown();
 }

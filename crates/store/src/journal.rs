@@ -492,22 +492,6 @@ impl Journal {
     pub fn policy(&self) -> SyncPolicy {
         self.policy
     }
-
-    /// Removes a stale `<path>.lock` left behind by a crashed daemon.
-    /// Returns whether a lock file existed. **Only** call this after
-    /// confirming no live process owns the journal.
-    ///
-    /// # Errors
-    ///
-    /// [`std::io::Error`] for filesystem failures other than the lock
-    /// not existing.
-    pub fn break_lock(path: impl AsRef<Path>) -> std::io::Result<bool> {
-        match std::fs::remove_file(lock::lock_path(path.as_ref())) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -549,7 +533,7 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let _ = Journal::break_lock(&path);
+        let _ = lock::break_lock(&path);
         path
     }
 
@@ -698,11 +682,8 @@ mod tests {
             Journal::open(&path, SyncPolicy::Always),
             Err(StoreError::Locked { .. })
         ));
-        assert!(Journal::break_lock(&path).unwrap());
-        assert!(
-            !Journal::break_lock(&path).unwrap(),
-            "second break is a no-op"
-        );
+        assert!(lock::break_lock(&path).unwrap());
+        assert!(!lock::break_lock(&path).unwrap(), "second break is a no-op");
         let reopened = Journal::open(&path, SyncPolicy::Always).unwrap();
         drop(reopened);
         let _ = std::fs::remove_file(&path);

@@ -53,6 +53,7 @@ pub mod version;
 
 pub use columns::CostColumns;
 pub use journal::{Journal, JournalRecord, OpenedJournal, RecoveredRequest, SyncPolicy};
+pub use lock::break_lock;
 
 /// One recorded incumbent: an architecture's testing time achieved at a
 /// width with a TAM count.
@@ -428,22 +429,6 @@ impl Store {
         std::fs::rename(&tmp, &path)?;
         self.dirty = false;
         Ok(())
-    }
-
-    /// Removes a stale `<path>.lock` left behind by a crashed process.
-    /// Returns whether a lock file existed. **Only** call this after
-    /// confirming no live process owns the store.
-    ///
-    /// # Errors
-    ///
-    /// [`std::io::Error`] for filesystem failures other than the lock
-    /// not existing.
-    pub fn break_lock(path: impl AsRef<Path>) -> std::io::Result<bool> {
-        match std::fs::remove_file(lock::lock_path(path.as_ref())) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
     }
 
     /// Merges `entry` under `fingerprint` through the normal recording

@@ -6,8 +6,9 @@
 //! sidecar `<path>.lock` file created with `create_new` (atomic on
 //! every platform Rust targets) is the mutex: whoever creates it owns
 //! the store until the guard drops. A crash leaves the lock file
-//! behind; [`crate::Store::break_lock`] removes a stale one after the
-//! operator has confirmed no other process is alive.
+//! behind; [`break_lock`] removes a stale one after the operator has
+//! confirmed no other process is alive. The write-ahead
+//! [`crate::Journal`] uses the same sidecar discipline.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -19,6 +20,23 @@ pub(crate) fn lock_path(store: &Path) -> PathBuf {
     let mut name = store.as_os_str().to_owned();
     name.push(".lock");
     PathBuf::from(name)
+}
+
+/// Removes a stale `<path>.lock` left behind by a crashed process that
+/// held the [`crate::Store`] or [`crate::Journal`] at `path`. Returns
+/// whether a lock file existed. **Only** call this after confirming no
+/// live process owns the path.
+///
+/// # Errors
+///
+/// [`std::io::Error`] for filesystem failures other than the lock not
+/// existing.
+pub fn break_lock(path: impl AsRef<Path>) -> std::io::Result<bool> {
+    match std::fs::remove_file(lock_path(path.as_ref())) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 /// Holds `<path>.lock` for the lifetime of an open [`crate::Store`];

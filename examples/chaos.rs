@@ -377,7 +377,7 @@ fn check_socket(s: &mut Session, id: u64, scenario: &Scenario, shards: Option<us
             return;
         }
     };
-    let server = NetServer::start(LiveConfig::with_threads(2), shards, listener, parser);
+    let server = NetServer::start(LiveConfig::with_threads(2), shards, listener, parser, 0);
     let addr = server.addr().to_owned();
 
     // Connect sequentially, reading each greeting before the next

@@ -12,7 +12,10 @@
 //! * whole tagged submit/cancel **traces** ([`tamopt::service::Trace`]
 //!   / [`ShardTrace`]): structure-aware generation whose oracle is the
 //!   workspace invariant itself — replays are byte-identical across
-//!   threads and winner-identical across shard shapes, a store-backed
+//!   threads and winner-identical across shard shapes for every request
+//!   no trace event cancels (a cancelled one only promises `cancelled`
+//!   or the uncancelled winner: its tag counts the owning shard's
+//!   barriers, so it lands differently per shape), a store-backed
 //!   restart mid-trace redoes the tail with identical winners and
 //!   never more work, and the write-ahead journal round-trips its
 //!   records (and tolerates arbitrary corruption) across a reopen.
@@ -41,8 +44,8 @@ use std::process::ExitCode;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use tamopt::cli::{parse_manifest, parse_serve_line};
 use tamopt::service::{
-    error_line, Frame, LineFramer, LiveConfig, LiveQueue, Request, RequestOutcome, ShardTrace,
-    ShardedQueue, StoreBinding, Trace, MAX_LINE_LEN,
+    error_line, Frame, LineFramer, LiveConfig, LiveQueue, Request, RequestOutcome, RequestStatus,
+    ShardTrace, ShardedQueue, StoreBinding, Trace, MAX_LINE_LEN,
 };
 use tamopt::soc::itc02::{parse_itc02, write_itc02};
 use tamopt::soc::{
@@ -508,6 +511,7 @@ fn fuzz_net(s: &mut Session, iters: u64) {
 /// One event of a generated trace, kept structured so the same steps
 /// build a flat [`Trace`], a [`ShardTrace`], a journal record stream
 /// and a failure artifact.
+#[derive(Clone)]
 enum TraceStep {
     Submit {
         generation: u32,
@@ -655,69 +659,168 @@ fn trace_config(threads: usize, store: Option<StoreBinding>) -> LiveConfig {
     config
 }
 
+/// The replay oracles over one trace, returning the flat
+/// single-threaded replay (the reference of the later oracles).
+///
+/// 1a. Flat replay is byte-identical across threads.
+/// 1b. Per shard count, replay is byte-identical across threads.
+/// 1c. Every request no trace event cancels has the flat replay's
+///     winner under every shard shape. A cancelled request's tag counts
+///     the barriers of the shard that owns it, so the cancel may land
+///     at a different point of its life per shape (the shard module's
+///     "Cancellation under replay" contract): it must come out
+///     `cancelled`, or `complete` with the winner of a replay without
+///     the cancel.
+fn check_replays(
+    s: &mut Session,
+    surface: &'static str,
+    case: u64,
+    steps: &[TraceStep],
+) -> Vec<RequestOutcome> {
+    let artifact = render_steps(steps);
+    let fail = |s: &mut Session, reason: String| {
+        s.fail(surface, case, reason, artifact.as_bytes());
+    };
+    let lines = |outcomes: &[RequestOutcome]| -> Vec<String> {
+        outcomes.iter().map(RequestOutcome::to_json_line).collect()
+    };
+    let (reference, _) = LiveQueue::replay(flat_trace(steps), trace_config(1, None));
+    for threads in [2, 8] {
+        let (outcomes, _) = LiveQueue::replay(flat_trace(steps), trace_config(threads, None));
+        if lines(&outcomes) != lines(&reference) {
+            fail(s, format!("flat replay drifted at {threads} threads"));
+        }
+    }
+
+    let cancelled: std::collections::BTreeSet<usize> = steps
+        .iter()
+        .filter_map(|step| match step {
+            TraceStep::Cancel { id, .. } => Some(*id),
+            TraceStep::Submit { .. } => None,
+        })
+        .collect();
+    let uncancelled: Vec<TraceStep> = steps
+        .iter()
+        .filter(|step| matches!(step, TraceStep::Submit { .. }))
+        .cloned()
+        .collect();
+    let (plain, _) = LiveQueue::replay(flat_trace(&uncancelled), trace_config(1, None));
+    // Streams interleave cancellations and completions; key the winner
+    // views by submission id so differently-ordered streams (sharded
+    // replay goes shard-by-shard) compare request-wise.
+    let flat_winners = winners_by_id(&reference);
+    let plain_winners = winners_by_id(&plain);
+    let check_cancelled = |s: &mut Session, shape: &str, outcomes: &[RequestOutcome]| {
+        for outcome in outcomes.iter().filter(|o| cancelled.contains(&o.index)) {
+            let kept = match outcome.status {
+                RequestStatus::Cancelled => true,
+                RequestStatus::Complete => outcome_winner(outcome) == plain_winners[outcome.index],
+                _ => false,
+            };
+            if !kept {
+                fail(
+                    s,
+                    format!(
+                        "cancelled request {} broke the cancel contract ({shape}): {}",
+                        outcome.index,
+                        outcome.to_json_line()
+                    ),
+                );
+            }
+        }
+    };
+    check_cancelled(s, "flat", &reference);
+    for shards in [1, 2, 4] {
+        let (base, _) = ShardedQueue::replay(shard_trace(steps), trace_config(1, None), shards);
+        for threads in [2, 8] {
+            let (outcomes, _) =
+                ShardedQueue::replay(shard_trace(steps), trace_config(threads, None), shards);
+            if lines(&outcomes) != lines(&base) {
+                fail(
+                    s,
+                    format!("sharded replay drifted at {shards} shards, {threads} threads"),
+                );
+            }
+        }
+        let winners = winners_by_id(&base);
+        let drift = (0..winners.len())
+            .filter(|id| !cancelled.contains(id))
+            .find(|&id| winners[id] != flat_winners[id]);
+        if let Some(id) = drift {
+            fail(
+                s,
+                format!(
+                    "winners drifted between flat and {shards}-shard replay\n  flat:    {}\n  sharded: {}",
+                    flat_winners[id], winners[id]
+                ),
+            );
+        }
+        check_cancelled(s, &format!("{shards} shards"), &base);
+    }
+    reference
+}
+
+/// Case 30 of `--seed 1`, pinned as a fixed input: the trace whose
+/// `@2 cancel 1` finds request 1 still queued at the unsharded queue's
+/// barrier 2 (request 3 outranks it there) but already finished on its
+/// shard, which never sees request 3 and reaches barrier 2 later.
+fn cancel_contract_case() -> Vec<TraceStep> {
+    let submit = |generation: u32, pin: Option<usize>, soc: &str, width, max_tams, priority| {
+        let request = Request::new(resolve(soc).expect("a benchmark SOC"), width)
+            .expect("a valid width")
+            .max_tams(max_tams)
+            .priority(priority);
+        TraceStep::Submit {
+            generation,
+            request,
+            pin,
+        }
+    };
+    vec![
+        submit(0, Some(0), "p21241", 23, 1, 0),
+        submit(0, Some(2), "d695", 22, 1, 0),
+        submit(0, Some(2), "p21241", 14, 3, 8),
+        submit(1, None, "d695", 11, 2, 3),
+        TraceStep::Cancel {
+            generation: 2,
+            id: 1,
+        },
+        submit(2, None, "p31108", 10, 3, 0),
+    ]
+}
+
 fn fuzz_trace(s: &mut Session, iters: u64) {
+    // The fixed input first: the generic oracles, plus the two
+    // outcomes that make it the documenting example — the cancel lands
+    // on the flat queue and misses on two shards.
+    let fixed = cancel_contract_case();
+    let flat = check_replays(s, "trace-fixed", 30, &fixed);
+    let (sharded, _) = ShardedQueue::replay(shard_trace(&fixed), trace_config(1, None), 2);
+    let status =
+        |outcomes: &[RequestOutcome]| outcomes.iter().find(|o| o.index == 1).map(|o| o.status);
+    if status(&flat) != Some(RequestStatus::Cancelled)
+        || status(&sharded) != Some(RequestStatus::Complete)
+    {
+        s.fail(
+            "trace-fixed",
+            30,
+            format!(
+                "request 1 should be cancelled flat and complete on 2 shards, got {:?} and {:?}",
+                status(&flat),
+                status(&sharded)
+            ),
+            render_steps(&fixed).as_bytes(),
+        );
+    }
+
     // Every case replays real co-optimizations a dozen ways; scale the
     // budget down so `--surface all` stays minutes, not hours.
     let iters = (iters / 10).max(5);
     for case in 0..iters {
         let steps = gen_trace_steps(&mut s.rng);
         let artifact = render_steps(&steps);
-        let (reference, _) = LiveQueue::replay(flat_trace(&steps), trace_config(1, None));
-        let cold_lines: Vec<String> = reference.iter().map(RequestOutcome::to_json_line).collect();
-        // Streams interleave cancellations and completions; key the
-        // winner views by submission id so differently-ordered streams
-        // (sharded replay goes shard-by-shard) compare request-wise.
-        let cold_winners: Vec<String> = winners_by_id(&reference);
-
-        // Oracle 1a: flat replay is byte-identical across threads.
-        for threads in [2, 8] {
-            let (outcomes, _) = LiveQueue::replay(flat_trace(&steps), trace_config(threads, None));
-            let lines: Vec<String> = outcomes.iter().map(RequestOutcome::to_json_line).collect();
-            if lines != cold_lines {
-                s.fail(
-                    "trace",
-                    case,
-                    format!("flat replay drifted at {threads} threads"),
-                    artifact.as_bytes(),
-                );
-            }
-        }
-        // Oracle 1b: per shard count byte-identical across threads, and
-        // winner-identical to the flat replay across shard shapes.
-        for shards in [1, 2, 4] {
-            let (base, _) =
-                ShardedQueue::replay(shard_trace(&steps), trace_config(1, None), shards);
-            let base_lines: Vec<String> = base.iter().map(RequestOutcome::to_json_line).collect();
-            for threads in [2, 8] {
-                let (outcomes, _) =
-                    ShardedQueue::replay(shard_trace(&steps), trace_config(threads, None), shards);
-                let lines: Vec<String> =
-                    outcomes.iter().map(RequestOutcome::to_json_line).collect();
-                if lines != base_lines {
-                    s.fail(
-                        "trace",
-                        case,
-                        format!("sharded replay drifted at {shards} shards, {threads} threads"),
-                        artifact.as_bytes(),
-                    );
-                }
-            }
-            let winners = winners_by_id(&base);
-            if winners != cold_winners {
-                let diff = winners
-                    .iter()
-                    .zip(&cold_winners)
-                    .find(|(sharded, flat)| sharded != flat)
-                    .map(|(sharded, flat)| format!("\n  flat:    {flat}\n  sharded: {sharded}"))
-                    .unwrap_or_default();
-                s.fail(
-                    "trace",
-                    case,
-                    format!("winners drifted between flat and {shards}-shard replay{diff}"),
-                    artifact.as_bytes(),
-                );
-            }
-        }
+        let reference = check_replays(s, "trace", case, &steps);
+        let cold_winners = winners_by_id(&reference);
 
         // Oracle 2: a store-backed restart mid-trace. A prefix run
         // warms a store; the store round-trips through bytes (the
@@ -741,21 +844,7 @@ fn fuzz_trace(s: &mut Session, iters: u64) {
                     *generation < split
                 }
             })
-            .map(|step| match step {
-                TraceStep::Submit {
-                    generation,
-                    request,
-                    pin,
-                } => TraceStep::Submit {
-                    generation: *generation,
-                    request: request.clone(),
-                    pin: *pin,
-                },
-                TraceStep::Cancel { generation, id } => TraceStep::Cancel {
-                    generation: *generation,
-                    id: *id,
-                },
-            })
+            .cloned()
             .collect();
         // Cancels reference submission ids; a time-prefix only ever
         // references its own submissions, but a cancel of an id whose
